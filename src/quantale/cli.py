@@ -92,26 +92,19 @@ def cmd_eval(args) -> int:
             f"warning: --scheme is ignored by the {args.engine} engine",
             file=sys.stderr,
         )
+    seed = _default_seed(args) if args.engine == "mc" else None
+    if args.engine == "mc" and (args.samples is None or seed is None):
+        print(
+            "error: the mc engine requires --samples and --seed "
+            "(or QUANTALE_SEED)",
+            file=sys.stderr,
+        )
+        return EXIT_EVALUATION
     try:
-        if args.engine == "naive":
-            result = _engine.eval_naive(graph, model, lexicon)
-        elif args.engine == "exact":
-            result = _engine.eval_exact(graph, model, lexicon, scheme, limits)
-        elif args.engine == "generic-fast":
-            result = _engine.eval_generic_fast(graph, model, lexicon)
-        else:
-            seed = _default_seed(args)
-            if args.samples is None or seed is None:
-                print(
-                    "error: the mc engine requires --samples and --seed "
-                    "(or QUANTALE_SEED)",
-                    file=sys.stderr,
-                )
-                return EXIT_EVALUATION
-            result = _engine.eval_mc(
-                graph, model, lexicon, scheme, samples=args.samples, seed=seed,
-                limits=limits,
-            )
+        result = _engine.evaluate(
+            graph, model, lexicon, args.engine, scheme, limits,
+            samples=args.samples, seed=seed,
+        )
     except ValidationFailed as exc:
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)

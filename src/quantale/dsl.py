@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslParseError
-from .model import PixieSpace, SituationModel, VaguePredicate, VagueLexicon
+from .model import LiftScheme, PixieSpace, SituationModel, VaguePredicate, VagueLexicon
 from .quant import QuantifierKind
 from .rsa import RsaScenario, RsaState, RsaUtterance, World
 from .scope import (
@@ -674,13 +674,13 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
             sid = s_jv.value["id"].value
             prior = s_jv.value["prior"].value
             world_rel = s_jv.value["world"].value
-            scheme = "independent"
+            scheme = LiftScheme.INDEPENDENT
             if "scheme" in s_jv.value:
                 sch_jv = s_jv.value["scheme"]
                 if sch_jv.value not in _SCHEMES:
                     diags.error(f"unknown scheme {sch_jv.value!r}", sch_jv.line, sch_jv.column)
                     continue
-                scheme = sch_jv.value
+                scheme = LiftScheme(sch_jv.value)
             if not isinstance(prior, float) or prior < 0:
                 p_jv = s_jv.value["prior"]
                 diags.error("prior must be a non-negative number", p_jv.line, p_jv.column)

@@ -1,31 +1,44 @@
 """Evaluation engines for scope graphs over situation models.
 
-Four engines share one bottom-up core:
+All four engines share one row-vector core.  A node's table is a float
+array of shape (batch, R) over the R positive-mass rows of the joint
+marginal over the variables the graph's applications read: its value at
+each row's projection onto the node's free variables.  Every
+lookup a parent makes is such a projection, so nothing else is needed:
+
+* an application reads the predicate's value at the row's pixie;
+* a conjunction multiplies its children's tables;
+* a quantifier sums ``mass * r`` and ``mass * r * b`` over the rows that
+  share its free variables, applies its shape to the ratio and gathers
+  the group values back to the rows.
+
+Group sums are correctly rounded, so the result does not depend on the
+order of the joint's rows, and a ratio such as 3/6 over masses of 1/7 is
+exactly 1/2.  The batch axis carries whatever one pass is evaluated for:
 
 * ``eval_naive`` applies quantifier shapes directly to vague conditional
   probabilities (the formulation that trivialises precise quantifiers
-  under vague predicates).
-* ``eval_exact`` enumerates the lifted distribution over precise
-  lexicons and, per configuration, integrates exactly over one shared
-  uniform threshold per vague quantifier node.
-* ``eval_mc`` is an unbiased sampler of the same semantics with a
-  binomial confidence interval and deterministic seeding.
+  under vague predicates); its batch is the single vague lexicon.
+* ``eval_exact`` runs chunks of the configurations the lift plan
+  enumerates.  At each vague quantifier node a configuration branches
+  once per threshold region cut by the values the node attains, weighted
+  by the region's length; the branches continue as rows of the batch.
+* ``eval_mc`` runs chunks of the configurations the lift plan samples,
+  together with one uniform threshold per vague quantifier node, and
+  keeps a vague node's value where it is at least the threshold.  It
+  reports a binomial confidence interval and is seeded deterministically.
 * ``eval_generic_fast`` reverses the order of expectations, evaluating
   vague functions directly; it is only sound for vague quantifiers.
 
-Quantifier ratios are computed from unnormalised joint-marginal masses
-(the conditioning mass cancels), which keeps small dyadic worlds exact
-in floating point.  A denominator at or below the guard is treated as an
-empty restriction, which also covers zero-probability free-variable
-assignments: they receive the convention value and carry no weight.
+A denominator at or below the guard is treated as an empty restriction:
+the group receives the quantifier's convention value.  ``evaluate``
+dispatches on an engine name.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +49,17 @@ from .errors import (
 )
 from .model import (
     DEFAULT_CONFIG_CAP,
+    LiftPlan,
     LiftScheme,
-    PreciseLexicon,
     SituationModel,
     VagueLexicon,
-    lift,
+    psi_table,
 )
 from .quant import (
-    VAGUE_KINDS,
     QuantifierKind,
     empty_restriction_value,
     is_precise,
-    shape_value,
+    shape_values,
 )
 from .scope import (
     Application,
@@ -67,6 +79,9 @@ GENERIC_FAST = "generic-fast"
 
 DEFAULT_VAGUE_NODE_CAP = 4
 DENOM_GUARD = 1e-15
+# Upper bound on batch x R cells per node table; configurations, samples
+# and threshold branches are evaluated in chunks of this size.
+CHUNK_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -100,211 +115,213 @@ def _validate_or_raise(graph, model, lexicon):
         raise ValidationFailed(diagnostics)
 
 
-class _Evaluator:
-    """Precomputed per-(graph, model) evaluation context.
+def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each run ``terms[starts[k]:starts[k] + counts[k]]``.
 
-    For every quantifier node, the joint marginal over bound plus free
-    variables is grouped by free-variable assignment, with the child
-    table keys precomputed, so that repeated passes (per configuration,
-    per threshold region, per sample) only do table lookups.
+    Many short runs are summed side by side: the k-th step adds the k-th
+    term of every run still going, keeping each addition's exact error
+    (TwoSum) in a second accumulator.  When that accumulator took its
+    errors exactly, partial sum plus accumulated error is the exact total
+    and one final addition rounds it correctly; the rare other runs, and
+    few long ones, go to ``math.fsum``.
     """
+    out = np.empty(len(starts))
+    if not len(starts):
+        return out
+    longest = int(counts.max())
+    if len(starts) < 16 * longest:
+        flat = terms.tolist()
+        for k, (a, n) in enumerate(zip(starts.tolist(), counts.tolist())):
+            out[k] = math.fsum(flat[a:a + n])
+        return out
+    order = np.argsort(-counts, kind="stable")
+    first = starts[order]
+    length = counts[order]
+    live = np.searchsorted(-length, -np.arange(longest), side="left")
+    total = np.zeros(len(order))
+    error = np.zeros(len(order))
+    inexact = np.zeros(len(order), dtype=bool)
+    for step, n in enumerate(live.tolist()):
+        a, b = total[:n], terms[first[:n] + step]
+        s = a + b
+        z = s - a
+        e = (a - (s - z)) + (b - z)
+        total[:n] = s
+        c = error[:n]
+        s = c + e
+        z = s - c
+        inexact[:n] |= (c - (s - z)) + (e - z) != 0.0
+        error[:n] = s
+    total += error
+    for k in np.flatnonzero(inexact).tolist():
+        total[k] = math.fsum(terms[first[k]:first[k] + length[k]].tolist())
+    out[order] = total
+    return out
+
+
+def _threshold_regions(values: np.ndarray):
+    """Threshold regions of each batch row of a vague node's table.
+
+    Region k of a row is (lo, hi] between consecutive values of 0, the
+    row's distinct values strictly inside (0, 1), and 1; thresholding the
+    table at any theta in it equals thresholding at ``hi``.  Returns the
+    batch row, ``hi`` and length of every region, rows in order, plus
+    where each row's regions start and how many there are.
+    """
+    cuts = np.sort(values, axis=1)
+    keep = (cuts > 0.0) & (cuts < 1.0)
+    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    ones = np.ones((len(cuts), 1))
+    cuts = np.concatenate([cuts, ones], axis=1)
+    keep = np.concatenate([keep, ones.astype(bool)], axis=1)
+    row, hi = np.nonzero(keep)[0], cuts[keep]
+    counts = keep.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    lo = np.concatenate([[0.0], hi[:-1]])
+    lo[starts] = 0.0
+    return row, hi, hi - lo, starts, counts
+
+
+class _Core:
+    """Row tables of one (graph, model) pair and the pass over them."""
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, generic_empty=1.0,
                  guard=DENOM_GUARD):
         self.graph = graph
-        self.model = model
         self.generic_empty = generic_empty
         self.guard = guard
         self.order = topological_order(graph)
         memo: dict[int, frozenset[str]] = {}
-        self.freev = {
-            i: tuple(sorted(free_vars(graph, i, memo))) for i in self.order
-        }
-        self.vague_nodes = [
+        free = {i: sorted(free_vars(graph, i, memo)) for i in self.order}
+        self.vague = [
             i
             for i in self.order
             if isinstance(graph.nodes[i], Quantifier)
             and not is_precise(graph.nodes[i].kind)
         ]
-        self._quant_data: dict[int, tuple] = {}
-        self._conj_proj: dict[int, list] = {}
-        for i in self.order:
+        # Only the variables some application reads tell rows apart.
+        applied = {
+            graph.nodes[i].variable
+            for i in self.order
+            if isinstance(graph.nodes[i], Application)
+        }
+        variables = [v for v in model.variables if v in applied]
+        joint = model.marginal(variables) if variables else {(): 1.0}
+        rows = [(a, m) for a, m in joint.items() if m > 0.0]
+        self.mass = np.array([m for _, m in rows])
+        self.width = len(rows)
+        self.chunk = max(1, CHUNK_CELLS // self.width)  # batch rows per chunk
+        column = {v: k for k, v in enumerate(variables)}
+        pixie = {p: k for k, p in enumerate(model.space.elements)}
+        # position of the last node that reads each node's table
+        self.last_use = {self.graph.root: len(self.order)}
+        self.pixies: dict[int, np.ndarray] = {}
+        self.groups: dict[int, tuple] = {}
+        for pos, i in enumerate(self.order):
             node = graph.nodes[i]
-            if isinstance(node, Quantifier):
-                self._quant_data[i] = self._prepare_quantifier(i, node)
+            if isinstance(node, Application):
+                k = column[node.variable]
+                self.pixies[i] = np.array([pixie[a[k]] for a, _ in rows], dtype=np.intp)
             elif isinstance(node, Conjunction):
-                self._conj_proj[i] = self._prepare_conjunction(i, node)
-
-    def _domain(self, vars):
-        return itertools.product(self.model.space.elements, repeat=len(vars))
-
-    def _prepare_quantifier(self, i, node):
-        bound = tuple(node.bound)
-        free = self.freev[i]
-        marg = self.model.marginal(bound + free) if (bound + free) else {}
-        rvars = self.freev[node.restriction]
-        bvars = self.freev[node.body]
-        groups: dict[tuple, list] = {}
-        nb = len(bound)
-        all_vars = bound + free
-        pos = {v: k for k, v in enumerate(all_vars)}
-        ridx = [pos[v] for v in rvars]
-        bidx = [pos[v] for v in bvars]
-        for key, mass in marg.items():
-            if mass <= 0.0:
-                continue
-            vkey = key[nb:]
-            rkey = tuple(key[k] for k in ridx)
-            bkey = tuple(key[k] for k in bidx)
-            groups.setdefault(vkey, []).append((mass, rkey, bkey))
-        vdomain = [tuple(v) for v in self._domain(free)]
-        return vdomain, groups
-
-    def _prepare_conjunction(self, i, node):
-        free = self.freev[i]
-        pos = {v: k for k, v in enumerate(free)}
-        proj = []
-        for c in node.children:
-            proj.append((c, [pos[v] for v in self.freev[c]]))
-        return proj
-
-    def quantifier_values(self, i, tables):
-        """Table of f_Q(ratio) over the node's free-variable domain."""
-        node = self.graph.nodes[i]
-        vdomain, groups = self._quant_data[i]
-        empty = empty_restriction_value(node.kind, self.generic_empty)
-        values = {}
-        for vkey in vdomain:
-            num = 0.0
-            den = 0.0
-            rtab = tables[node.restriction]
-            btab = tables[node.body]
-            for mass, rkey, bkey in groups.get(vkey, ()):
-                r = rtab[rkey]
-                if r:
-                    den += mass * r
-                    num += mass * r * btab[bkey]
-            if den <= self.guard:
-                values[vkey] = empty
-            else:
-                values[vkey] = shape_value(node.kind, min(num / den, 1.0))
-        return values
-
-    def conjunction_values(self, i, tables):
-        free = self.freev[i]
-        proj = self._conj_proj[i]
-        values = {}
-        for vkey in self._domain(free):
-            prod = 1.0
-            for c, idx in proj:
-                prod *= tables[c][tuple(vkey[k] for k in idx)]
-                if prod == 0.0:
-                    break
-            values[tuple(vkey)] = prod
-        return values
-
-    def leaf_table(self, i, psi):
-        """Application table; ``psi(predicate, pixie)`` supplies values."""
-        node = self.graph.nodes[i]
-        return {(p,): psi(node.predicate, p) for p in self.model.space.elements}
-
-
-def _vague_pass(ev: _Evaluator, lexicon: VagueLexicon, engine_name: str,
-                vague_only: bool):
-    """Bottom-up pass where every node yields a vague (probability) table."""
-    tables: dict[int, dict] = {}
-    for i in ev.order:
-        node = ev.graph.nodes[i]
-        if isinstance(node, Tautology):
-            tables[i] = {(): 1.0}
-        elif isinstance(node, Application):
-            tables[i] = ev.leaf_table(i, lexicon.psi)
-        elif isinstance(node, Conjunction):
-            tables[i] = ev.conjunction_values(i, tables)
-        else:
-            if vague_only and is_precise(node.kind):
-                name = node.kind.value if isinstance(node.kind, QuantifierKind) else "custom"
-                raise PreciseQuantifierInFastPath(
-                    f"precise quantifier {name!r} at node {i} is not allowed "
-                    f"in the generic fast path; use the exact engine"
+                self.last_use.update(dict.fromkeys(node.children, pos))
+            elif isinstance(node, Quantifier):
+                self.last_use.update({node.restriction: pos, node.body: pos})
+                ids: dict[tuple, int] = {}
+                group = np.array(
+                    [ids.setdefault(tuple(a[column[v]] for v in free[i]), len(ids))
+                     for a, _ in rows],
+                    dtype=np.intp,
                 )
-            tables[i] = ev.quantifier_values(i, tables)
-    return tables[ev.graph.root][()]
+                sizes = np.bincount(group)
+                self.groups[i] = (np.argsort(group, kind="stable"),
+                                  np.cumsum(sizes) - sizes, sizes, group)
 
+    def leaves(self, truth: np.ndarray, names) -> dict[int, np.ndarray]:
+        """Tables of every application and tautology node.
 
-def eval_naive(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
-               generic_empty: float = 1.0) -> EvalResult:
-    """Apply quantifier shapes directly to vague conditional probabilities."""
-    _validate_or_raise(graph, model, lexicon)
-    ev = _Evaluator(graph, model, generic_empty)
-    p = _vague_pass(ev, lexicon, NAIVE, vague_only=False)
-    return EvalResult(probability=p, engine=NAIVE)
+        ``truth`` has shape (batch, predicates, pixies), predicates in
+        the order of ``names``: configuration bits or vague values.
+        """
+        index = {name: k for k, name in enumerate(names)}
+        tables = {}
+        for i in self.order:
+            node = self.graph.nodes[i]
+            if isinstance(node, Application):
+                tables[i] = truth[:, index[node.predicate], self.pixies[i]].astype(float)
+            elif isinstance(node, Tautology):
+                tables[i] = np.ones((len(truth), self.width))
+        return tables
 
+    def advance(self, tables, start=0):
+        """Fill in the tables of the nodes from position ``start`` on.
 
-def eval_generic_fast(graph: ScopeGraph, model: SituationModel,
-                      lexicon: VagueLexicon,
-                      generic_empty: float = 1.0) -> EvalResult:
-    """Ratio-of-expectations fast path; every quantifier must be vague."""
-    _validate_or_raise(graph, model, lexicon)
-    ev = _Evaluator(graph, model, generic_empty)
-    p = _vague_pass(ev, lexicon, GENERIC_FAST, vague_only=True)
-    return EvalResult(probability=p, engine=GENERIC_FAST)
-
-
-# --- exact engine -----------------------------------------------------------
-
-def _config_tree(ev: _Evaluator, plex: PreciseLexicon):
-    """Decision tree over shared per-node thresholds for one precise lexicon.
-
-    Nodes below every branch point are already boolean, so each vague
-    quantifier contributes one branch level, in topological order.
-    Returns either ("leaf", root_value) or
-    ("branch", node_index, cuts, children) where region k of (0, 1]
-    (bounded above by cuts[k], with 1.0 closing the last region) selects
-    children[k].
-    """
-    order = ev.order
-
-    def holds(pred, pixie):
-        return 1.0 if plex.holds(pred, pixie) else 0.0
-
-    def rec(pos, tables):
-        for idx in range(pos, len(order)):
-            i = order[idx]
-            node = ev.graph.nodes[i]
-            if isinstance(node, Tautology):
-                tables[i] = {(): 1.0}
-            elif isinstance(node, Application):
-                tables[i] = ev.leaf_table(i, holds)
-            elif isinstance(node, Conjunction):
-                tables[i] = ev.conjunction_values(i, tables)
-            elif is_precise(node.kind):
-                tables[i] = ev.quantifier_values(i, tables)
+        Returns the position of the first vague quantifier filled in, for
+        the caller to threshold, or None once the root is done.
+        """
+        for pos in range(start, len(self.order)):
+            i = self.order[pos]
+            if i in tables:
+                continue
+            node = self.graph.nodes[i]
+            if isinstance(node, Conjunction):
+                value = tables[node.children[0]]
+                for c in node.children[1:]:
+                    value = value * tables[c]
+                tables[i] = value
             else:
-                vals = ev.quantifier_values(i, tables)
-                cuts = sorted({v for v in vals.values() if 0.0 < v < 1.0})
-                children = []
-                for hi in cuts + [1.0]:
-                    branch_tables = dict(tables)
-                    branch_tables[i] = {
-                        k: 1.0 if v >= hi else 0.0 for k, v in vals.items()
-                    }
-                    children.append(rec(idx + 1, branch_tables))
-                return ("branch", i, cuts, children)
-        return ("leaf", tables[order[-1]][()])
+                tables[i] = self._quantify(i, tables[node.restriction], tables[node.body])
+                if i in self.vague:
+                    return pos
+        return None
 
-    return rec(0, {})
+    def _quantify(self, i, r, b):
+        node = self.graph.nodes[i]
+        order, starts, sizes, group = self.groups[i]
+        batch = len(r)
+        run_starts = (np.arange(batch)[:, None] * self.width + starts).ravel()
+        run_sizes = np.tile(sizes, batch)
 
+        def group_sums(terms):
+            flat = terms[:, order].ravel()
+            return _fsum_runs(flat, run_starts, run_sizes).reshape(batch, len(sizes))
 
-def _tree_expectation(tree) -> float:
-    if tree[0] == "leaf":
-        return tree[1]
-    _, _, cuts, children = tree
-    bounds = [0.0] + cuts + [1.0]
-    return math.fsum(
-        (bounds[k + 1] - bounds[k]) * _tree_expectation(children[k])
-        for k in range(len(children))
-    )
+        den_terms = self.mass * r
+        den = group_sums(den_terms)
+        num = group_sums(den_terms * b)
+        filled = den > self.guard
+        values = np.full(den.shape, empty_restriction_value(node.kind, self.generic_empty))
+        values[filled] = shape_values(node.kind, np.minimum(num[filled] / den[filled], 1.0))
+        return values[:, group]
+
+    def root(self, tables) -> np.ndarray:
+        return tables[self.graph.root][:, 0]
+
+    def expectation(self, tables, start=0) -> np.ndarray:
+        """Per batch row, the root's expectation over every vague node's
+        threshold from position ``start`` on."""
+        pos = self.advance(tables, start)
+        if pos is None:
+            return self.root(tables)
+        i = self.order[pos]
+        row, hi, length, starts, counts = _threshold_regions(tables[i])
+        keep = [j for j in tables if j != i and self.last_use.get(j, -1) > pos]
+        out = np.empty(len(row))
+        for a in range(0, len(row), self.chunk):
+            part = slice(a, a + self.chunk)
+            branch = {j: tables[j][row[part]] for j in keep}
+            branch[i] = (tables[i][row[part]] >= hi[part, None]).astype(float)
+            out[part] = self.expectation(branch, pos + 1)
+        return _fsum_runs(length * out, starts, counts)
+
+    def sampled(self, tables, thetas: np.ndarray) -> np.ndarray:
+        """Root values with vague node k thresholded at ``thetas[:, k]``."""
+        pos = self.advance(tables)
+        while pos is not None:
+            i = self.order[pos]
+            k = self.vague.index(i)
+            tables[i] = (tables[i] >= thetas[:, k, None]).astype(float)
+            pos = self.advance(tables, pos + 1)
+        return self.root(tables)
 
 
 def _used_predicates(graph: ScopeGraph, lexicon: VagueLexicon) -> VagueLexicon:
@@ -316,12 +333,48 @@ def _used_predicates(graph: ScopeGraph, lexicon: VagueLexicon) -> VagueLexicon:
     return VagueLexicon({p: lexicon.predicates[p] for p in sorted(used)})
 
 
-def _check_vague_cap(ev, limits):
-    if len(ev.vague_nodes) > limits.vague_node_cap:
+def _psi_pass(graph, model, lexicon, generic_empty, vague_only):
+    """Root value with every node valued by vague probabilities."""
+    _validate_or_raise(graph, model, lexicon)
+    core = _Core(graph, model, generic_empty)
+    if vague_only:
+        for i in core.order:
+            node = graph.nodes[i]
+            if isinstance(node, Quantifier) and is_precise(node.kind):
+                name = node.kind.value if isinstance(node.kind, QuantifierKind) else "custom"
+                raise PreciseQuantifierInFastPath(
+                    f"precise quantifier {name!r} at node {i} is not allowed "
+                    f"in the generic fast path; use the exact engine"
+                )
+    used = _used_predicates(graph, lexicon)
+    tables = core.leaves(psi_table(used, model.space)[None], sorted(used.predicates))
+    pos = core.advance(tables)
+    while pos is not None:  # vague nodes keep their values
+        pos = core.advance(tables, pos + 1)
+    return float(core.root(tables)[0])
+
+
+def eval_naive(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
+               generic_empty: float = 1.0) -> EvalResult:
+    """Apply quantifier shapes directly to vague conditional probabilities."""
+    p = _psi_pass(graph, model, lexicon, generic_empty, vague_only=False)
+    return EvalResult(probability=p, engine=NAIVE)
+
+
+def eval_generic_fast(graph: ScopeGraph, model: SituationModel,
+                      lexicon: VagueLexicon,
+                      generic_empty: float = 1.0) -> EvalResult:
+    """Ratio-of-expectations fast path; every quantifier must be vague."""
+    p = _psi_pass(graph, model, lexicon, generic_empty, vague_only=True)
+    return EvalResult(probability=p, engine=GENERIC_FAST)
+
+
+def _check_vague_cap(core, limits):
+    if len(core.vague) > limits.vague_node_cap:
         raise ExplosionGuard(
-            f"{len(ev.vague_nodes)} vague quantifier nodes exceed the cap "
+            f"{len(core.vague)} vague quantifier nodes exceed the cap "
             f"of {limits.vague_node_cap}",
-            count=len(ev.vague_nodes),
+            count=len(core.vague),
             cap=limits.vague_node_cap,
         )
 
@@ -333,98 +386,16 @@ def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
     """Exact evaluation: enumerate precise configurations and integrate
     each vague quantifier's shared threshold over its finite value set."""
     _validate_or_raise(graph, model, lexicon)
-    ev = _Evaluator(graph, model, generic_empty, limits.denom_guard)
-    _check_vague_cap(ev, limits)
-    lifted = lift(_used_predicates(graph, lexicon), scheme, model.space,
-                  cap=limits.config_cap)
+    core = _Core(graph, model, generic_empty, limits.denom_guard)
+    _check_vague_cap(core, limits)
+    plan = LiftPlan(_used_predicates(graph, lexicon), scheme, model.space)
+    plan.check(limits.config_cap)
     terms = []
-    for plex, weight in lifted.configurations:
-        if weight == 0.0:
-            continue
-        terms.append(weight * _tree_expectation(_config_tree(ev, plex)))
-    p = min(max(math.fsum(terms), 0.0), 1.0)
+    for start in range(0, plan.count, core.chunk):
+        bits, weights = plan.enumerate(start, min(start + core.chunk, plan.count))
+        terms.append(weights * core.expectation(core.leaves(bits, plan.names)))
+    p = min(max(math.fsum(np.concatenate(terms)), 0.0), 1.0)
     return EvalResult(probability=p, engine=EXACT)
-
-
-# --- Monte Carlo ------------------------------------------------------------
-
-class _ConfigSampler:
-    """Draws precise lexicons per scheme with a stable draw order."""
-
-    def __init__(self, lexicon: VagueLexicon, space, scheme: LiftScheme):
-        self.scheme = scheme
-        self.space = space
-        self.names = sorted(lexicon.predicates)
-        self.lexicon = lexicon
-        if scheme is LiftScheme.INDEPENDENT:
-            self.fractional = [
-                (name, pixie, lexicon.psi(name, pixie))
-                for name in self.names
-                for pixie in space.elements
-                if 0.0 < lexicon.psi(name, pixie) < 1.0
-            ]
-            self.draws = len(self.fractional)
-        else:
-            self.cuts = {
-                name: sorted(
-                    {
-                        lexicon.psi(name, pixie)
-                        for pixie in space.elements
-                        if 0.0 < lexicon.psi(name, pixie) < 1.0
-                    }
-                )
-                for name in self.names
-            }
-            self.draws = len(self.names)
-
-    def sample_key(self, uniforms) -> tuple:
-        if self.scheme is LiftScheme.INDEPENDENT:
-            return tuple(
-                u <= p for u, (_, _, p) in zip(uniforms, self.fractional)
-            )
-        # Region index per predicate from a threshold in (0, 1].
-        key = []
-        for theta, name in zip(uniforms, self.names):
-            key.append(bisect_left(self.cuts[name], theta))
-        return tuple(key)
-
-    def materialise(self, key) -> PreciseLexicon:
-        truth = {}
-        if self.scheme is LiftScheme.INDEPENDENT:
-            frac = {
-                (name, pixie): bit
-                for (name, pixie, _), bit in zip(self.fractional, key)
-            }
-            for name in self.names:
-                truth[name] = {}
-                for pixie in self.space.elements:
-                    p = self.lexicon.psi(name, pixie)
-                    if p == 0.0 or p == 1.0:
-                        truth[name][pixie] = p == 1.0
-                    else:
-                        truth[name][pixie] = frac[(name, pixie)]
-        else:
-            for name, region in zip(self.names, key):
-                uppers = self.cuts[name] + [1.0]
-                hi = uppers[region]
-                truth[name] = {
-                    pixie: self.lexicon.psi(name, pixie) >= hi
-                    for pixie in self.space.elements
-                }
-        return PreciseLexicon(truth)
-
-
-def _walk_tree(tree, thetas, theta_index):
-    """Resolve a decision tree with one threshold per vague node.
-
-    ``thetas`` is indexed by vague-node position in topological order;
-    every root-to-leaf path visits every vague node exactly once.
-    """
-    while tree[0] == "branch":
-        _, node, cuts, children = tree
-        theta = thetas[theta_index[node]]
-        tree = children[bisect_left(cuts, theta)]
-    return tree[1]
 
 
 def _binomial_ci(p_hat: float, n: int) -> tuple[float, float]:
@@ -441,30 +412,24 @@ def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
     """Monte Carlo estimate of the exact semantics.
 
     Each sample draws one precise lexicon (per scheme) and one uniform
-    threshold per vague quantifier node, then evaluates the root boolean
-    exactly as the exact engine's inner loop does.  Identical inputs and
-    seed give identical results.
+    threshold per vague quantifier node, in that order from one stream,
+    then evaluates the root boolean.  Identical inputs and seed give
+    identical results.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _validate_or_raise(graph, model, lexicon)
-    ev = _Evaluator(graph, model, generic_empty, limits.denom_guard)
-    _check_vague_cap(ev, limits)
-    sampler = _ConfigSampler(_used_predicates(graph, lexicon), model.space, scheme)
-    theta_index = {node: k for k, node in enumerate(ev.vague_nodes)}
-    n_theta = len(ev.vague_nodes)
+    core = _Core(graph, model, generic_empty, limits.denom_guard)
+    _check_vague_cap(core, limits)
+    plan = LiftPlan(_used_predicates(graph, lexicon), scheme, model.space)
     rng = np.random.default_rng(seed)
-    trees: dict[tuple, tuple] = {}
     hits = 0
-    for _ in range(samples):
-        config_u = 1.0 - rng.random(sampler.draws) if sampler.draws else ()
-        thetas = 1.0 - rng.random(n_theta) if n_theta else ()
-        key = sampler.sample_key(config_u)
-        tree = trees.get(key)
-        if tree is None:
-            tree = _config_tree(ev, sampler.materialise(key))
-            trees[key] = tree
-        hits += _walk_tree(tree, thetas, theta_index)
+    for start in range(0, samples, core.chunk):
+        n = min(core.chunk, samples - start)
+        uniforms = rng.random((n, plan.draws + len(core.vague)))
+        np.subtract(1.0, uniforms, out=uniforms)
+        tables = core.leaves(plan.sample(uniforms[:, :plan.draws]), plan.names)
+        hits += int(core.sampled(tables, uniforms[:, plan.draws:]).sum())
     p_hat = hits / samples
     return EvalResult(
         probability=p_hat,
@@ -473,6 +438,26 @@ def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
         samples=samples,
         seed=seed,
     )
+
+
+def evaluate(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
+             engine: str = EXACT, scheme: LiftScheme = LiftScheme.INDEPENDENT,
+             limits: EngineLimits = EngineLimits(), samples: int | None = None,
+             seed: int | None = None) -> EvalResult:
+    """Run the engine named ``engine``; naive and generic-fast ignore the
+    scheme and limits, and only mc uses ``samples`` and ``seed``."""
+    if engine == NAIVE:
+        return eval_naive(graph, model, lexicon)
+    if engine == GENERIC_FAST:
+        return eval_generic_fast(graph, model, lexicon)
+    if engine == EXACT:
+        return eval_exact(graph, model, lexicon, scheme, limits)
+    if engine == MONTE_CARLO:
+        if samples is None or seed is None:
+            raise ValueError("the mc engine requires samples and a seed")
+        return eval_mc(graph, model, lexicon, scheme, samples=samples, seed=seed,
+                       limits=limits)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def compare_generic(graph: ScopeGraph, model: SituationModel,

@@ -9,10 +9,6 @@ class UnknownVariable(QuantaleError):
     """A variable name is not declared in the situation model."""
 
 
-class ZeroProbabilityCondition(QuantaleError):
-    """Conditioning on an assignment with zero marginal probability."""
-
-
 class ExplosionGuard(QuantaleError):
     """Enumeration would exceed the configured cap."""
 

@@ -10,11 +10,12 @@ marginals reproduce the vague probabilities exactly.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ExplosionGuard, UnknownVariable, ZeroProbabilityCondition
+import numpy as np
+
+from .errors import ExplosionGuard, UnknownVariable
 from .quant import threshold_partition
 
 MASS_TOL = 1e-9
@@ -117,31 +118,6 @@ class SituationModel:
             out[key] = out.get(key, 0.0) + mass
         return out
 
-    def conditional(self, given: dict[str, str]) -> dict[tuple[str, ...], float]:
-        """Distribution over the remaining variables given a partial assignment.
-
-        Keys follow the model's declared variable order, restricted to
-        the unconditioned variables.  Raises ZeroProbabilityCondition if
-        the conditioning event has zero mass.
-        """
-        for v in given:
-            if v not in self.variables:
-                raise UnknownVariable(f"unknown variable {v!r}")
-        remaining = [v for v in self.variables if v not in given]
-        out: dict[tuple[str, ...], float] = {}
-        total = 0.0
-        for assignment, mass in self.joint:
-            env = dict(zip(self.variables, assignment))
-            if all(env[v] == p for v, p in given.items()):
-                key = tuple(env[v] for v in remaining)
-                out[key] = out.get(key, 0.0) + mass
-                total += mass
-        if total <= 0.0:
-            raise ZeroProbabilityCondition(
-                f"conditioning assignment {given} has zero probability"
-            )
-        return {k: m / total for k, m in out.items()}
-
 
 @dataclass(frozen=True)
 class VaguePredicate:
@@ -223,65 +199,92 @@ class LiftedLexicon:
 DEFAULT_CONFIG_CAP = 2**20
 
 
-def _independent_configs(lexicon, space, cap):
-    fractional = []
-    fixed: dict[str, dict[str, bool]] = {}
-    for name in sorted(lexicon.predicates):
-        fixed[name] = {}
-        for pixie in space.elements:
-            p = lexicon.psi(name, pixie)
-            if p == 0.0 or p == 1.0:
-                fixed[name][pixie] = p == 1.0
-            else:
-                fractional.append((name, pixie, p))
-    count = 2 ** len(fractional)
-    if count > cap:
-        raise ExplosionGuard(
-            f"independent lift needs {count} configurations (cap {cap})",
-            count=count,
-            cap=cap,
-        )
-    configs = []
-    for bits in itertools.product((True, False), repeat=len(fractional)):
-        truth = {name: dict(table) for name, table in fixed.items()}
-        weight = 1.0
-        for (name, pixie, p), bit in zip(fractional, bits):
-            truth[name][pixie] = bit
-            weight *= p if bit else 1.0 - p
-        configs.append((PreciseLexicon(truth), weight))
-    return configs
+def psi_table(lexicon: VagueLexicon, space: PixieSpace) -> np.ndarray:
+    """psi as an array: one row per predicate in sorted name order, one
+    column per pixie of the space."""
+    names = sorted(lexicon.predicates)
+    table = [[lexicon.psi(n, px) for px in space.elements] for n in names]
+    return np.array(table, dtype=float).reshape(len(names), len(space.elements))
 
 
-def _coupled_configs(lexicon, space, cap):
-    per_predicate = []
-    count = 1
-    for name in sorted(lexicon.predicates):
-        values = {lexicon.psi(name, pixie) for pixie in space.elements}
-        regions = threshold_partition(values)
-        options = []
-        for region in regions:
-            table = {
-                pixie: lexicon.psi(name, pixie) >= region.hi
-                for pixie in space.elements
-            }
-            options.append((table, region.measure))
-        per_predicate.append((name, options))
-        count *= len(options)
-    if count > cap:
-        raise ExplosionGuard(
-            f"coupled-threshold lift needs {count} configurations (cap {cap})",
-            count=count,
-            cap=cap,
-        )
-    configs = []
-    for combo in itertools.product(*(opts for _, opts in per_predicate)):
-        truth = {}
-        weight = 1.0
-        for (name, _), (table, measure) in zip(per_predicate, combo):
-            truth[name] = dict(table)
-            weight *= measure
-        configs.append((PreciseLexicon(truth), weight))
-    return configs
+class LiftPlan:
+    """Precise configurations of a lift as bit arrays.
+
+    ``psi`` holds the vague values, one row per predicate (``names``,
+    sorted) and one column per pixie.  A batch of configurations is a
+    boolean array of shape (batch, predicates, pixies), produced either
+    by ``enumerate`` (every configuration with its weight, in a fixed
+    order) or by ``sample`` (one configuration per row of uniforms in
+    (0, 1], ``draws`` of them per configuration).
+
+    Independent: each strictly fractional entry is a coin that holds with
+    probability psi (sampled as ``u <= psi``); entries in {0, 1} are
+    fixed.  Coupled-threshold: each predicate has one threshold, and a
+    configuration is the super-level set ``psi >= theta``; enumeration
+    takes one threshold region per predicate, weighted by its length.
+    """
+
+    def __init__(self, lexicon: VagueLexicon, scheme: LiftScheme, space: PixieSpace):
+        self.names = tuple(sorted(lexicon.predicates))
+        self.scheme = scheme
+        self.psi = psi_table(lexicon, space)
+        if scheme is LiftScheme.INDEPENDENT:
+            fractional = (self.psi > 0.0) & (self.psi < 1.0)
+            self._entries = np.nonzero(fractional)
+            self._p = self.psi[fractional]
+            self.count = 2 ** len(self._p)
+            self.draws = len(self._p)
+        elif scheme is LiftScheme.COUPLED_THRESHOLD:
+            self._regions = [threshold_partition(row.tolist()) for row in self.psi]
+            self.count = math.prod(len(r) for r in self._regions)
+            self.draws = len(self.names)
+        else:
+            raise ValueError(f"unknown lifting scheme {scheme!r}")
+
+    def check(self, cap: int) -> None:
+        if self.count > cap:
+            raise ExplosionGuard(
+                f"{self.scheme.value} lift needs {self.count} configurations (cap {cap})",
+                count=self.count,
+                cap=cap,
+            )
+
+    def enumerate(self, start: int, stop: int):
+        """Configurations ``start`` to ``stop`` and their weights.
+
+        The order is that of ``itertools.product`` over the choices: the
+        first fractional entry (independent) or the first predicate
+        (coupled) varies slowest, holding before not holding and low
+        thresholds before high ones.
+        """
+        index = np.arange(start, stop, dtype=np.int64)
+        weights = np.ones(len(index))
+        if self.scheme is LiftScheme.INDEPENDENT:
+            n = len(self._p)
+            holds = (index[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 0
+            for k, p in enumerate(self._p.tolist()):
+                weights *= np.where(holds[:, k], p, 1.0 - p)
+            return self._fill(holds), weights
+        picks = []
+        for regions in reversed(self._regions):
+            picks.append(index % len(regions))
+            index = index // len(regions)
+        bits = np.empty((len(weights), *self.psi.shape), dtype=bool)
+        for k, (regions, pick) in enumerate(zip(self._regions, reversed(picks))):
+            weights *= np.array([r.measure for r in regions])[pick]
+            bits[:, k] = self.psi[k] >= np.array([r.hi for r in regions])[pick][:, None]
+        return bits, weights
+
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """One configuration per row of ``uniforms`` (shape (n, draws))."""
+        if self.scheme is LiftScheme.INDEPENDENT:
+            return self._fill(uniforms <= self._p)
+        return self.psi >= uniforms[:, :, None]
+
+    def _fill(self, holds):
+        bits = np.repeat((self.psi == 1.0)[None], len(holds), axis=0)
+        bits[:, self._entries[0], self._entries[1]] = holds
+        return bits
 
 
 def lift(
@@ -299,11 +302,13 @@ def lift(
     generating threshold interval; predicates remain independent of one
     another.  Both schemes marginalise back to psi exactly.
     """
-    if scheme is LiftScheme.INDEPENDENT:
-        configs = _independent_configs(lexicon, space, cap)
-    elif scheme is LiftScheme.COUPLED_THRESHOLD:
-        configs = _coupled_configs(lexicon, space, cap)
-    else:
-        raise ValueError(f"unknown lifting scheme {scheme!r}")
+    plan = LiftPlan(lexicon, scheme, space)
+    plan.check(cap)
+    bits, weights = plan.enumerate(0, plan.count)
+    configs = tuple(
+        (PreciseLexicon({n: dict(zip(space.elements, row))
+                         for n, row in zip(plan.names, table)}), w)
+        for table, w in zip(bits.tolist(), weights.tolist())
+    )
     assert abs(math.fsum(w for _, w in configs) - 1.0) <= MASS_TOL
-    return LiftedLexicon(tuple(configs), scheme)
+    return LiftedLexicon(configs, scheme)

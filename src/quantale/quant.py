@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ShapeDomainError
 
 
@@ -52,17 +54,29 @@ class ShapeSpec:
     empty_restriction_value: float = 0.0
 
     def value(self, ratio: float) -> float:
-        if not 0.0 <= ratio <= 1.0:
-            raise ShapeDomainError(f"ratio {ratio!r} outside [0, 1]")
+        return float(self.values(np.array([ratio], dtype=float))[0])
+
+    def values(self, ratios: np.ndarray) -> np.ndarray:
+        """``value`` at every entry of an array of ratios."""
+        outside = ~((ratios >= 0.0) & (ratios <= 1.0))
+        if outside.any():
+            raise ShapeDomainError(f"ratio {float(ratios[outside][0])!r} outside [0, 1]")
+        out = np.full(ratios.shape, np.nan)
+        # reversed, so the first segment and then any point take precedence
+        for lo, hi, vlo, vhi in reversed(self.segments):
+            inside = (lo < ratios) & (ratios < hi)
+            if vlo == vhi:
+                out[inside] = vlo
+            else:
+                out[inside] = vlo + (vhi - vlo) * (ratios[inside] - lo) / (hi - lo)
         for x, v in self.points:
-            if ratio == x:
-                return v
-        for lo, hi, vlo, vhi in self.segments:
-            if lo < ratio < hi:
-                if vlo == vhi:
-                    return vlo
-                return vlo + (vhi - vlo) * (ratio - lo) / (hi - lo)
-        raise ShapeDomainError(f"shape does not cover ratio {ratio!r}")
+            out[ratios == x] = v
+        uncovered = np.isnan(out)
+        if uncovered.any():
+            raise ShapeDomainError(
+                f"shape does not cover ratio {float(ratios[uncovered][0])!r}"
+            )
+        return out
 
 
 def _step(points, segments, empty):
@@ -105,6 +119,12 @@ def shape_value(kind, ratio: float) -> float:
     """
     spec = kind if isinstance(kind, ShapeSpec) else BUILTIN_SHAPES[kind]
     return spec.value(ratio)
+
+
+def shape_values(kind, ratios: np.ndarray) -> np.ndarray:
+    """``shape_value`` at every entry of an array of ratios."""
+    spec = kind if isinstance(kind, ShapeSpec) else BUILTIN_SHAPES[kind]
+    return spec.values(ratios)
 
 
 def empty_restriction_value(kind, generic_default: float = 1.0) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .engine import evaluate
 from .errors import AllFalse, NoViableUtterance
 from .model import LiftScheme, SituationModel, VagueLexicon
 from .scope import ScopeGraph
@@ -22,7 +23,7 @@ MASS_TOL = 1e-9
 class World:
     model: SituationModel
     lexicon: VagueLexicon
-    scheme: str = "independent"
+    scheme: LiftScheme = LiftScheme.INDEPENDENT
 
 
 @dataclass(frozen=True)
@@ -87,18 +88,10 @@ def _normalize(weights: dict[str, float]) -> dict[str, float]:
 
 def meaning(scenario: RsaScenario, utterance: RsaUtterance, state: RsaState) -> float:
     """Root probability of the utterance in the state's world."""
-    from . import engine as _engine
-
     world = state.world
-    if scenario.engine == "naive":
-        result = _engine.eval_naive(utterance.graph, world.model, world.lexicon)
-    elif scenario.engine == "generic-fast":
-        result = _engine.eval_generic_fast(utterance.graph, world.model, world.lexicon)
-    else:
-        result = _engine.eval_exact(
-            utterance.graph, world.model, world.lexicon, LiftScheme(world.scheme)
-        )
-    return result.probability
+    return evaluate(
+        utterance.graph, world.model, world.lexicon, scenario.engine, world.scheme
+    ).probability
 
 
 def meaning_matrix(scenario: RsaScenario) -> dict[str, dict[str, float]]:

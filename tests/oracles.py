@@ -9,6 +9,7 @@ the engine is exact and comparisons can demand equality.
 """
 
 import itertools
+from fractions import Fraction
 
 import quantale as q
 
@@ -177,3 +178,267 @@ def random_generic_case(rng):
     )
     den = sum(mass * psi("restr", rvar, cell) for cell, mass in model.joint)
     return model, lexicon, graph, num / den
+
+
+# --- vague exact-semantics oracle ----------------------------------------------
+#
+# Brute force in exact rational arithmetic: precise lexicons are explicit
+# bit tables, every node is evaluated per variable environment by direct
+# recursion, and each vague quantifier node's threshold is integrated by
+# evaluating at the midpoint of every region cut by that node's attained
+# values.  Thresholds are keyed by node index, so a node shared by two
+# parents sees one draw while textual duplicates see independent draws.
+
+ORACLE_KINDS = ("some", "every", "no", "most", "many", "few", "generic")
+VAGUE_ORACLE_KINDS = ("many", "few", "generic")
+ORACLE_EMPTY = {
+    "some": 0, "every": 1, "no": 1, "most": 0, "many": 0, "few": 1, "generic": 1,
+}
+
+
+def _oracle_shape(kind, ratio):
+    if kind == "some":
+        return Fraction(1 if ratio > 0 else 0)
+    if kind == "every":
+        return Fraction(1 if ratio == 1 else 0)
+    if kind == "no":
+        return Fraction(1 if ratio == 0 else 0)
+    if kind == "most":
+        return Fraction(1 if ratio > Fraction(1, 2) else 0)
+    if kind == "few":
+        return 1 - ratio
+    return ratio  # many, generic
+
+
+def _children_of(n):
+    if isinstance(n, q.Conjunction):
+        return list(n.children)
+    if isinstance(n, q.Quantifier):
+        return [n.restriction, n.body]
+    return []
+
+
+def _oracle_free(graph, i, memo):
+    if i not in memo:
+        n = graph.nodes[i]
+        if isinstance(n, q.Application):
+            memo[i] = frozenset({n.variable})
+        elif isinstance(n, q.Quantifier):
+            below = _oracle_free(graph, n.restriction, memo) | _oracle_free(graph, n.body, memo)
+            memo[i] = below - set(n.bound)
+        else:
+            memo[i] = frozenset().union(*(_oracle_free(graph, c, memo) for c in _children_of(n)))
+    return memo[i]
+
+
+def _bit_tables(lexicon, space, scheme):
+    """Every precise lexicon of the lift as (weight, {pred: {pixie: bool}})."""
+    per_predicate = []
+    for name, pred in sorted(lexicon.predicates.items()):
+        psi = {px: Fraction(pred.psi(px)) for px in space}
+        if scheme is q.LiftScheme.INDEPENDENT:
+            options = [(Fraction(1), {})]
+            for px in space:
+                p = psi[px]
+                grown = []
+                for weight, table in options:
+                    for bit, w in ((True, p), (False, 1 - p)):
+                        if w:
+                            grown.append((weight * w, {**table, px: bit}))
+                options = grown
+        else:
+            cuts = sorted({v for v in psi.values() if 0 < v < 1})
+            bounds = [Fraction(0)] + cuts + [Fraction(1)]
+            options = [
+                (hi - lo, {px: psi[px] >= (lo + hi) / 2 for px in space})
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+        per_predicate.append((name, options))
+    for combo in itertools.product(*(opts for _, opts in per_predicate)):
+        weight = Fraction(1)
+        truth = {}
+        for (name, _), (w, table) in zip(per_predicate, combo):
+            weight *= w
+            truth[name] = table
+        yield weight, truth
+
+
+def vague_exact_value(graph, model, lexicon, scheme):
+    """Exact probability of the root under the lifted threshold semantics."""
+    space = model.space.elements
+    variables = model.variables
+    rows = [(dict(zip(variables, a)), Fraction(m)) for a, m in model.joint if m > 0]
+    memo_free = {}
+    free = {i: sorted(_oracle_free(graph, i, memo_free)) for i in range(len(graph.nodes))}
+    vague_order = []
+
+    def post(i, seen):
+        if i in seen:
+            return
+        seen.add(i)
+        for c in _children_of(graph.nodes[i]):
+            post(c, seen)
+        n = graph.nodes[i]
+        if isinstance(n, q.Quantifier) and n.kind.value in VAGUE_ORACLE_KINDS:
+            vague_order.append(i)
+
+    post(graph.root, set())
+
+    def raw(i, env, truth, thetas, cache):
+        """Node value before a vague node's own threshold is applied."""
+        key = (i, tuple(env[v] for v in free[i]))
+        if key in cache:
+            return cache[key]
+        n = graph.nodes[i]
+        if isinstance(n, q.Tautology):
+            value = Fraction(1)
+        elif isinstance(n, q.Application):
+            value = Fraction(1 if truth[n.predicate][env[n.variable]] else 0)
+        elif isinstance(n, q.Conjunction):
+            value = Fraction(1)
+            for c in n.children:
+                value *= held(c, env, truth, thetas, cache)
+        else:
+            num = den = Fraction(0)
+            for row, mass in rows:
+                if any(row[v] != env[v] for v in free[i]):
+                    continue
+                inner = dict(env)
+                inner.update({v: row[v] for v in n.bound})
+                r = held(n.restriction, inner, truth, thetas, cache)
+                den += mass * r
+                num += mass * r * held(n.body, inner, truth, thetas, cache)
+            kind = n.kind.value
+            value = Fraction(ORACLE_EMPTY[kind]) if den == 0 else _oracle_shape(kind, num / den)
+        cache[key] = value
+        return value
+
+    def held(i, env, truth, thetas, cache):
+        value = raw(i, env, truth, thetas, cache)
+        if i in thetas:
+            return Fraction(1 if value >= thetas[i] else 0)
+        return value
+
+    def integrate(truth, thetas, pending):
+        if not pending:
+            return held(graph.root, {}, truth, thetas, {})
+        i, rest = pending[0], pending[1:]
+        cache = {}
+        attained = {raw(i, row, truth, thetas, cache) for row, _ in rows}
+        cuts = sorted(v for v in attained if 0 < v < 1)
+        bounds = [Fraction(0)] + cuts + [Fraction(1)]
+        return sum(
+            (hi - lo) * integrate(truth, {**thetas, i: (lo + hi) / 2}, rest)
+            for lo, hi in zip(bounds, bounds[1:])
+        )
+
+    return sum(
+        weight * integrate(truth, {}, vague_order)
+        for weight, truth in _bit_tables(lexicon, space, scheme)
+    )
+
+
+def random_vague_dag(rng, variables, max_vague=3):
+    """Random closed scope DAG mixing precise and vague quantifiers.
+
+    Returns (shared, duplicated): in ``shared`` some subformulas are
+    reused by several parents; ``duplicated`` is the same formula with
+    a node reached by several parents copied once per parent, so each
+    copy of a vague quantifier gets its own threshold.
+    """
+    nodes = []
+    fvs = []  # free variables per node
+    vague = [0]
+
+    def add(node, fv):
+        nodes.append(node)
+        fvs.append(fv)
+        return len(nodes) - 1
+
+    def subformula(visible, depth):
+        roll = rng.random()
+        reusable = [i for i, fv in enumerate(fvs) if fv <= visible]
+        if reusable and roll < 0.3:
+            shared = [i for i in reusable if isinstance(nodes[i], q.Quantifier)]
+            return rng.choice(shared or reusable)
+        if depth < 2 and roll < 0.6:
+            return quantifier(visible, depth)
+        if not visible:
+            return add(q.Tautology(), frozenset())
+        var = rng.choice(sorted(visible))
+        leaf = add(q.Application(rng.choice(("P", "Q")), var), frozenset({var}))
+        if roll < 0.85:
+            return leaf
+        other = rng.choice(sorted(visible))
+        second = add(q.Application(rng.choice(("P", "Q")), other), frozenset({other}))
+        return add(q.Conjunction((leaf, second)), frozenset({var, other}))
+
+    def quantifier(visible, depth):
+        var = rng.choice(variables)
+        kind = rng.choice(ORACLE_KINDS if vague[0] < max_vague else PRECISE_ORACLE_KINDS)
+        vague[0] += kind in VAGUE_ORACLE_KINDS
+        restriction = subformula(visible | {var}, depth + 1)
+        body = subformula(visible | {var}, depth + 1)
+        fv = (fvs[restriction] | fvs[body]) - {var}
+        return add(q.Quantifier(q.QuantifierKind(kind), (var,), restriction, body), fv)
+
+    root = quantifier(frozenset(), 0)
+    shared = q.ScopeGraph(tuple(nodes), root)
+    return shared, _unshare(shared)
+
+
+def _unshare(graph):
+    nodes = []
+
+    def copy(i):
+        n = graph.nodes[i]
+        if isinstance(n, q.Conjunction):
+            n = q.Conjunction(tuple(copy(c) for c in n.children))
+        elif isinstance(n, q.Quantifier):
+            n = q.Quantifier(n.kind, n.bound, copy(n.restriction), copy(n.body))
+        nodes.append(n)
+        return len(nodes) - 1
+
+    root = copy(graph.root)
+    return q.ScopeGraph(tuple(nodes), root)
+
+
+def vague_node_count(graph):
+    return sum(
+        1
+        for i in graph.reachable()
+        if isinstance(graph.nodes[i], q.Quantifier)
+        and graph.nodes[i].kind.value in VAGUE_ORACLE_KINDS
+    )
+
+
+def random_dyadic_world(rng, variables):
+    """Small world with dyadic joint masses and dyadic vague predicates."""
+    n_pix = rng.choice([2, 3])
+    pixies = tuple(f"p{i}" for i in range(n_pix))
+    cells = list(itertools.product(pixies, repeat=len(variables)))
+    rng.shuffle(cells)
+    # split mass 1 into dyadic pieces over a random subset of the cells
+    masses = [Fraction(1)]
+    pieces = min(len(cells), rng.randint(1, 5))
+    while len(masses) < pieces:
+        k = max(range(len(masses)), key=lambda j: masses[j])
+        half = masses.pop(k) / 2
+        masses += [half, half]
+    joint = tuple((c, float(m)) for c, m in zip(cells, masses))
+    model = q.SituationModel(q.PixieSpace(pixies), variables, joint)
+    values = (0.0, 0.25, 0.5, 0.75, 1.0)
+    fractional_left = [5]
+    predicates = {}
+    for name in ("P", "Q"):
+        table = {}
+        for px in pixies:
+            v = rng.choice(values)
+            if 0.0 < v < 1.0:
+                if not fractional_left[0]:
+                    v = float(v > 0.5)
+                fractional_left[0] -= 1
+            if v:
+                table[px] = v
+        predicates[name] = q.VaguePredicate(name, table)
+    return model, q.VagueLexicon(predicates)

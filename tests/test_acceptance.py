@@ -222,3 +222,16 @@ def test_criterion_10_determinism_and_round_trip(capsys):
             text = q.serialize_world(model, lexicon)
             again_model, again_lexicon = q.parse_world(text)
             assert q.serialize_world(again_model, again_lexicon) == text
+
+
+def test_criterion_11_unused_pixies_do_not_cost(capsys, donkey_graph):
+    # donkey_half padded with 200 pixies no joint row uses: the joint
+    # keeps its 8 rows while the dense |P|^3 domain grows to about 8M cells
+    model, lexicon = load_world("donkey_half.world.json")
+    padded = q.SituationModel(
+        q.PixieSpace(model.space.elements + tuple(f"pad{i}" for i in range(200))),
+        model.variables,
+        model.joint,
+    )
+    with criterion(capsys, 11, "exact cost follows joint rows", 5.0):
+        assert q.eval_exact(donkey_graph, padded, lexicon).probability == 0.5

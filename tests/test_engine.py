@@ -210,3 +210,24 @@ def test_donkey_naive_differs_from_exact(donkey_graph):
     naive = q.eval_naive(donkey_graph, model, lexicon).probability
     assert 0.0 <= naive <= 1.0
     assert naive != pytest.approx(0.5, abs=1e-12)
+
+
+def test_most_is_strict_at_an_inexact_half():
+    # 7 pixies of mass 1/7: r holds on 6, b on 3 of those.  The ratio is
+    # 3/6 exactly; summed with bare float additions it came out as
+    # 0.5000000000000001 and the strict `most` shape returned 1.
+    pixies = tuple(f"p{i}" for i in range(7))
+    model = q.SituationModel(
+        q.PixieSpace(pixies), ("x",), tuple(((px,), 1.0 / 7) for px in pixies)
+    )
+    lexicon = q.VagueLexicon(
+        {
+            "r": q.VaguePredicate("r", {px: 1.0 for px in pixies[:6]}),
+            "b": q.VaguePredicate("b", {px: 1.0 for px in pixies[:3]}),
+        }
+    )
+    graph = q.parse_prop("(most (x) (r x) (b x))")
+    for scheme in q.LiftScheme:
+        assert q.eval_exact(graph, model, lexicon, scheme).probability == 0.0
+        assert q.eval_mc(graph, model, lexicon, scheme, samples=50, seed=0).probability == 0.0
+    assert q.eval_naive(graph, model, lexicon).probability == 0.0

@@ -1,7 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 import quantale as q
 
@@ -9,8 +11,12 @@ from conftest import quant_over_tautology
 from oracles import (
     classical_root,
     random_classical_case,
+    random_dyadic_world,
     random_generic_case,
     random_tree,
+    random_vague_dag,
+    vague_exact_value,
+    vague_node_count,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -125,3 +131,85 @@ def test_prop_round_trip_fixpoint(seed):
     text = q.serialize_prop(graph)
     again = q.serialize_prop(q.parse_prop(text))
     assert text == again
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_vague_oracle_matches_exact_engine(seed):
+    # the oracle integrates every vague node's threshold in rationals;
+    # non-dyadic ratios make the engine round its cut values, hence the
+    # tolerance
+    rng = random.Random(seed)
+    variables = tuple("xy"[: rng.randint(1, 2)])
+    shared, duplicated = random_vague_dag(rng, variables)
+    assume(vague_node_count(duplicated) <= 4)
+    model, lexicon = random_dyadic_world(rng, variables)
+    for graph in (shared, duplicated):
+        for scheme in q.LiftScheme:
+            expected = vague_exact_value(graph, model, lexicon, scheme)
+            got = q.eval_exact(graph, model, lexicon, scheme).probability
+            assert math.isclose(got, float(expected), rel_tol=0, abs_tol=1e-12), (
+                scheme, q.serialize_prop(graph), got, expected)
+
+
+def test_vague_oracle_separates_shared_from_duplicated_thresholds():
+    # (and #g #g) with one shared generic node keeps its value 0.5, while
+    # two textual copies draw independent thresholds: 0.5 * 0.5
+    model = q.SituationModel(
+        q.PixieSpace(("a", "b")), ("x",), ((("a",), 0.5), (("b",), 0.5))
+    )
+    lexicon = q.VagueLexicon({"P": q.VaguePredicate("P", {"a": 1.0})})
+    shared = q.parse_prop("(let (g (generic (x) true (P x))) (and #g #g))")
+    duplicated = q.parse_prop(
+        "(and (generic (x) true (P x)) (generic (x) true (P x)))"
+    )
+    for scheme in q.LiftScheme:
+        assert vague_exact_value(shared, model, lexicon, scheme) == Fraction(1, 2)
+        assert vague_exact_value(duplicated, model, lexicon, scheme) == Fraction(1, 4)
+        assert q.eval_exact(shared, model, lexicon, scheme).probability == 0.5
+        assert q.eval_exact(duplicated, model, lexicon, scheme).probability == 0.25
+
+
+@given(seeds, st.sampled_from(list(q.LiftScheme)))
+@settings(max_examples=60, deadline=None)
+def test_lift_marginals_reproduce_psi(seed, scheme):
+    rng = random.Random(seed)
+    pixies = tuple(f"p{i}" for i in range(rng.randint(1, 4)))
+    lexicon = q.VagueLexicon(
+        {
+            name: q.VaguePredicate(
+                name, {px: rng.randint(0, 16) / 16 for px in pixies}
+            )
+            for name in ("P", "Q")
+        }
+    )
+    lifted = q.lift(lexicon, scheme, q.PixieSpace(pixies))
+    assert math.fsum(w for _, w in lifted.configurations) == 1.0
+    for name in lexicon.predicates:
+        for px in pixies:
+            marginal = math.fsum(
+                w for plex, w in lifted.configurations if plex.holds(name, px)
+            )
+            assert marginal == lexicon.psi(name, px)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_run_sums_are_correctly_rounded(seed):
+    # group sums of every engine; compared with math.fsum bit for bit on
+    # many short runs (summed side by side) and few long ones
+    from quantale.engine import _fsum_runs
+
+    rng = random.Random(seed)
+    n_runs = rng.choice([1, 3, 40, 200])
+    counts = [rng.randint(0, 9) for _ in range(n_runs)]
+    scale = [2.0 ** rng.randint(-60, 0) for _ in range(sum(counts))]
+    terms = [s * rng.choice([1.0 / 7, rng.random(), 0.1, 1.0]) for s in scale]
+    # 1 + 2^-53 is a tie that the last term breaks upwards; its error
+    # does not fit beside 2^-53, so only an exact fallback gets it right
+    terms = np.array(terms + [1.0, 2.0**-53, 2.0**-107])
+    counts = np.array(counts + [3])
+    starts = np.cumsum(counts) - counts
+    got = _fsum_runs(terms, starts, counts)
+    expected = [math.fsum(terms[a:a + n].tolist()) for a, n in zip(starts, counts)]
+    assert got.tolist() == expected

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import quantale as q
-from quantale.errors import ExplosionGuard, UnknownVariable, ZeroProbabilityCondition
+from quantale.errors import ExplosionGuard, UnknownVariable
 
 from conftest import red_world
 
@@ -64,22 +64,6 @@ def test_marginal():
         m.marginal(("z",))
     with pytest.raises(ValueError):
         m.marginal(())
-
-
-def test_conditional():
-    m = two_var_model()
-    cond = m.conditional({"x": "a"})
-    assert cond[("a",)] == pytest.approx(1 / 3)
-    assert cond[("b",)] == pytest.approx(2 / 3)
-    with pytest.raises(UnknownVariable):
-        m.conditional({"z": "a"})
-
-
-def test_conditional_zero_probability():
-    space = q.PixieSpace(("a", "b"))
-    m = q.SituationModel(space, ("x", "y"), ((("a", "a"), 1.0), (("b", "b"), 0.0)))
-    with pytest.raises(ZeroProbabilityCondition):
-        m.conditional({"x": "b"})
 
 
 def test_vague_predicate_default_and_bounds():
