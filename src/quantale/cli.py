@@ -161,25 +161,18 @@ def cmd_rsa(args) -> int:
         _emit({"diagnostics": _diag_json(exc.diagnostics)})
         return EXIT_DIAGNOSTICS
 
+    matrix = _rsa.MeaningMatrix(scenario)
+    option, agent, outcomes = {
+        "l0": ("utterance", matrix.literal_listener, scenario.states),
+        "s1": ("state", matrix.pragmatic_speaker, scenario.utterances),
+        "l1": ("utterance", matrix.pragmatic_listener, scenario.states),
+    }[args.agent]
+    target = getattr(args, option)
+    if target is None:
+        print(f"error: --{option} is required for {args.agent}", file=sys.stderr)
+        return EXIT_EVALUATION
     try:
-        if args.agent == "l0":
-            if args.utterance is None:
-                print("error: --utterance is required for l0", file=sys.stderr)
-                return EXIT_EVALUATION
-            dist = _rsa.literal_listener(scenario, args.utterance)
-            support = [s.id for s in scenario.states]
-        elif args.agent == "s1":
-            if args.state is None:
-                print("error: --state is required for s1", file=sys.stderr)
-                return EXIT_EVALUATION
-            dist = _rsa.pragmatic_speaker(scenario, args.state)
-            support = [u.id for u in scenario.utterances]
-        else:
-            if args.utterance is None:
-                print("error: --utterance is required for l1", file=sys.stderr)
-                return EXIT_EVALUATION
-            dist = _rsa.pragmatic_listener(scenario, args.utterance)
-            support = [s.id for s in scenario.states]
+        dist = agent(target)
     except (AllFalse, NoViableUtterance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
@@ -187,9 +180,10 @@ def cmd_rsa(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
+    support = [o.id for o in outcomes]
     document = {"support": support, "probs": [dist.get(s, 0.0) for s in support]}
     if args.verbose:
-        document["meanings"] = _rsa.meaning_matrix(scenario)
+        document["meanings"] = matrix.as_dict()
     _emit(document)
     return EXIT_OK
 

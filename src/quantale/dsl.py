@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import DslParseError
 from .model import LiftScheme, PixieSpace, SituationModel, VaguePredicate, VagueLexicon
 from .quant import QuantifierKind
-from .rsa import RsaScenario, RsaState, RsaUtterance, World
+from .rsa import ENGINES, RsaScenario, RsaState, RsaUtterance, World
 from .scope import (
     Application,
     Conjunction,
@@ -618,7 +618,6 @@ def serialize_prop(graph: ScopeGraph) -> str:
 # --- scenarios ----------------------------------------------------------------
 
 _SCHEMES = {"independent", "coupled-threshold"}
-_ENGINES = {"naive", "exact", "generic-fast"}
 
 
 def _load_prop_source(value: str, base_dir: Path, diags, line, col):
@@ -656,7 +655,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
     engine = "exact"
     if "engine" in doc.value:
         e_jv = doc.value["engine"]
-        if e_jv.value in _ENGINES:
+        if e_jv.value in ENGINES:
             engine = e_jv.value
         else:
             diags.error(f"unknown engine {e_jv.value!r}", e_jv.line, e_jv.column)

@@ -399,9 +399,16 @@ def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
 
 
 def _binomial_ci(p_hat: float, n: int) -> tuple[float, float]:
-    # 95% normal-approximation interval; degenerate at 0 and 1.
-    half = 1.959963984540054 * math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return (max(p_hat - half, 0.0), min(p_hat + half, 1.0))
+    # 95% Wilson score interval (Wilson 1927; Brown, Cai & DasGupta 2001),
+    # which keeps a positive width at p_hat 0 and 1.  Each bound is the lower
+    # one of its own side, so p_hat = 1 gives exactly (n / (n + z^2), 1).
+    z = 1.959963984540054
+
+    def lower(p: float) -> float:
+        return max((n * p + (z * z / 2 - z * math.sqrt(n * p * (1 - p) + z * z / 4)))
+                   / (n + z * z), 0.0)
+
+    return (lower(p_hat), 1.0 - lower(1.0 - p_hat))
 
 
 def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,

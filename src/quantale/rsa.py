@@ -2,14 +2,16 @@
 
 Meanings are probabilities of truth, so vague sentences (generics in
 particular) participate directly; boolean worlds recover the classical
-conditioning that rules out falsifying states.  One level of recursion:
-literal listener, pragmatic speaker, pragmatic listener.
+conditioning that rules out falsifying states.  Each agent call evaluates
+the meaning matrix M (utterances x states) at most once per entry and runs
+L0 = rownorm(prior * M), S1 = softmax_u(alpha (log L0 - cost)) and
+L1 = rownorm(prior * S1) over it: S engine calls for L0, U * S for S1 and L1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import evaluate
 from .errors import AllFalse, NoViableUtterance
@@ -17,6 +19,8 @@ from .model import LiftScheme, SituationModel, VagueLexicon
 from .scope import ScopeGraph
 
 MASS_TOL = 1e-9
+# deterministic engines; mc would need a sample count and a seed per meaning
+ENGINES = ("naive", "exact", "generic-fast")
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,8 @@ class RsaScenario:
     """States with priors, candidate utterances, and speaker rationality.
 
     ``alpha`` is the speaker rationality; ``math.inf`` means the
-    maximizing speaker (uniform over argmax utterances).  ``engine``
-    selects how utterance meanings are evaluated per state.
+    maximizing speaker (uniform over argmax utterances).  ``engine``, one
+    of ``ENGINES``, selects how utterance meanings are evaluated per state.
     """
 
     states: tuple[RsaState, ...]
@@ -64,6 +68,8 @@ class RsaScenario:
             raise ValueError(f"state priors sum to {total}, expected 1")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        if self.engine not in ENGINES:
+            raise ValueError(f"RSA engine must be one of {ENGINES}, not {self.engine!r}")
 
     def state(self, state_id: str) -> RsaState:
         for s in self.states:
@@ -94,75 +100,89 @@ def meaning(scenario: RsaScenario, utterance: RsaUtterance, state: RsaState) -> 
     ).probability
 
 
+class MeaningMatrix:
+    """Meanings M[u][s] of one scenario, each row evaluated on first use, and
+    the agents of the same names over them.  Build one per agent call: it
+    caches nothing beyond its own lifetime."""
+
+    def __init__(self, scenario: RsaScenario):
+        self.scenario = scenario
+        self._rows: dict[str, dict[str, float]] = {}
+
+    def row(self, u: RsaUtterance) -> dict[str, float]:
+        if u.id not in self._rows:
+            scenario = self.scenario
+            self._rows[u.id] = {s.id: meaning(scenario, u, s) for s in scenario.states}
+        return self._rows[u.id]
+
+    def as_dict(self) -> dict[str, dict[str, float]]:
+        return {u.id: self.row(u) for u in self.scenario.utterances}
+
+    def literal_listener(self, utterance_id: str) -> Posterior:
+        row = self.row(self.scenario.utterance(utterance_id))
+        weights = {s.id: s.prior * row[s.id] for s in self.scenario.states}
+        if math.fsum(weights.values()) <= 0.0:
+            raise AllFalse(f"utterance {utterance_id!r} is false in every state")
+        return _normalize(weights)
+
+    def pragmatic_speaker(self, state_id: str) -> dict[str, float]:
+        scenario = self.scenario
+        scenario.state(state_id)
+        utilities: dict[str, float] = {}
+        for utterance in scenario.utterances:
+            try:
+                posterior = self.literal_listener(utterance.id)
+            except AllFalse:
+                continue
+            if posterior[state_id] <= 0.0:
+                continue
+            utilities[utterance.id] = math.log(posterior[state_id]) - utterance.cost
+        if not utilities:
+            raise NoViableUtterance(
+                f"no utterance has positive literal posterior for state {state_id!r}"
+            )
+        top = max(utilities.values())
+        if math.isinf(scenario.alpha):
+            winners = [u for u, util in utilities.items() if util == top]
+            dist = {u: 1.0 / len(winners) for u in winners}
+        else:
+            scaled = {u: scenario.alpha * (v - top) for u, v in utilities.items()}
+            dist = _normalize({u: math.exp(x) for u, x in scaled.items()})
+        return {u.id: dist.get(u.id, 0.0) for u in scenario.utterances}
+
+    def pragmatic_listener(self, utterance_id: str) -> Posterior:
+        self.scenario.utterance(utterance_id)
+        weights: dict[str, float] = {}
+        for state in self.scenario.states:
+            try:
+                speaker = self.pragmatic_speaker(state.id)
+            except NoViableUtterance:
+                speaker = {}
+            weights[state.id] = state.prior * speaker.get(utterance_id, 0.0)
+        if math.fsum(weights.values()) <= 0.0:
+            raise AllFalse(f"no state makes a pragmatic speaker say {utterance_id!r}")
+        return _normalize(weights)
+
+
 def meaning_matrix(scenario: RsaScenario) -> dict[str, dict[str, float]]:
-    return {
-        u.id: {s.id: meaning(scenario, u, s) for s in scenario.states}
-        for u in scenario.utterances
-    }
+    return MeaningMatrix(scenario).as_dict()
 
 
 def literal_listener(scenario: RsaScenario, utterance_id: str) -> Posterior:
     """Condition the state prior on the utterance being true."""
-    utterance = scenario.utterance(utterance_id)
-    weights = {
-        s.id: s.prior * meaning(scenario, utterance, s) for s in scenario.states
-    }
-    if math.fsum(weights.values()) <= 0.0:
-        raise AllFalse(f"utterance {utterance_id!r} is false in every state")
-    return _normalize(weights)
+    return MeaningMatrix(scenario).literal_listener(utterance_id)
 
 
 def pragmatic_speaker(scenario: RsaScenario, state_id: str) -> dict[str, float]:
-    """Utterance choice maximizing literal-listener posterior minus cost.
-
-    Finite alpha softmaxes the utilities; infinite alpha is uniform over
-    the argmax set.  Utterances with zero literal posterior for the
-    state are excluded.
-    """
-    state = scenario.state(state_id)
-    utilities: dict[str, float] = {}
-    for utterance in scenario.utterances:
-        try:
-            posterior = literal_listener(scenario, utterance.id)
-        except AllFalse:
-            continue
-        if posterior.get(state_id, 0.0) <= 0.0:
-            continue
-        utilities[utterance.id] = math.log(posterior[state_id]) - utterance.cost
-    if not utilities:
-        raise NoViableUtterance(
-            f"no utterance has positive literal posterior for state {state_id!r}"
-        )
-    if math.isinf(scenario.alpha):
-        best = max(utilities.values())
-        winners = [u for u, util in utilities.items() if util == best]
-        return {
-            u.id: (1.0 / len(winners) if u.id in winners else 0.0)
-            for u in scenario.utterances
-        }
-    top = max(utilities.values())
-    weights = {
-        u: math.exp(scenario.alpha * (util - top)) for u, util in utilities.items()
-    }
-    dist = _normalize(weights)
-    return {u.id: dist.get(u.id, 0.0) for u in scenario.utterances}
+    """Utterance choice maximizing literal-listener posterior minus cost:
+    a softmax at finite alpha, uniform over the argmax at infinite alpha,
+    excluding utterances with zero literal posterior for the state."""
+    return MeaningMatrix(scenario).pragmatic_speaker(state_id)
 
 
 def pragmatic_listener(scenario: RsaScenario, utterance_id: str) -> Posterior:
     """Invert the pragmatic speaker over the state prior."""
-    scenario.utterance(utterance_id)
-    weights: dict[str, float] = {}
-    for state in scenario.states:
-        try:
-            speaker = pragmatic_speaker(scenario, state.id)
-        except NoViableUtterance:
-            speaker = {}
-        weights[state.id] = state.prior * speaker.get(utterance_id, 0.0)
-    if math.fsum(weights.values()) <= 0.0:
-        raise AllFalse(
-            f"no state makes a pragmatic speaker say {utterance_id!r}"
-        )
-    return _normalize(weights)
+    return MeaningMatrix(scenario).pragmatic_listener(utterance_id)
 
 
 def entropy(posterior: Posterior) -> float:

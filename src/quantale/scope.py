@@ -149,9 +149,8 @@ def topological_order(graph: ScopeGraph) -> list[int]:
 def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
     """Well-formedness diagnostics; an empty list means the graph is ok.
 
-    Reports cycles, open roots, unknown predicates and variables, empty
-    conjunctions, and bound variables leaking into a quantifier's own
-    free-variable set.  Diagnostics are returned, never thrown.
+    Reports cycles, open roots, unknown predicates and variables, and
+    empty conjunctions.  Diagnostics are returned, never thrown.
     """
     diagnostics: list[str] = []
     for i, n in enumerate(graph.nodes):
@@ -166,9 +165,7 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
         diagnostics.append("scope graph contains a cycle")
         return diagnostics
 
-    memo: dict[int, frozenset[str]] = {}
-    reachable = sorted(graph.reachable())
-    for i in reachable:
+    for i in sorted(graph.reachable()):
         n = graph.nodes[i]
         if isinstance(n, Application):
             if n.predicate not in lexicon:
@@ -186,12 +183,7 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
             for v in n.bound:
                 if v not in model.variables:
                     diagnostics.append(f"unknown variable {v!r} bound at node {i}")
-            leaked = set(n.bound) & free_vars(graph, i, memo)
-            if leaked:
-                diagnostics.append(
-                    f"bound variables {sorted(leaked)} free at quantifier node {i}"
-                )
-    open_vars = free_vars(graph, graph.root, memo)
+    open_vars = free_vars(graph, graph.root)
     if open_vars:
         listing = ", ".join(sorted(open_vars))
         diagnostics.append(f"root has free variables {{{listing}}}")

@@ -265,3 +265,15 @@ def test_scenario_bad_alpha(tmp_path):
 }"""
     diags = diagnostics_of(q.parse_scenario, text, tmp_path)
     assert any("alpha must be a positive number" in d.message for d in diags)
+
+
+@pytest.mark.parametrize("engine", ["mc", "exactt"])
+def test_scenario_rejects_engines_rsa_cannot_use(tmp_path, engine):
+    (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
+    text = f"""{{
+  "states": [{{"id": "s", "prior": 1.0, "world": "red.world.json"}}],
+  "utterances": [{{"id": "u", "prop": "true"}}],
+  "engine": "{engine}"
+}}"""
+    diags = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert any(f"unknown engine {engine!r}" in d.message for d in diags)

@@ -156,10 +156,27 @@ def test_mc_determinism_and_ci():
 
 
 def test_mc_degenerate_ci():
+    # the Wilson score interval keeps a positive width at p_hat = 1, where
+    # the Wald interval collapsed to (1, 1)
     model, lexicon = red_world(1.0)
-    result = q.eval_mc(quant_over_tautology("some"), model, lexicon, samples=100, seed=0)
+    n, z = 100, 1.959963984540054
+    result = q.eval_mc(quant_over_tautology("some"), model, lexicon, samples=n, seed=0)
     assert result.probability == 1.0
-    assert result.ci == (1.0, 1.0)
+    lo, hi = result.ci
+    assert hi == 1.0
+    assert lo == n / (n + z * z)
+
+
+def test_mc_ci_covers_near_one():
+    # criterion 8's coverage count at an edge: p = 0.995 with 200 samples
+    # gives p_hat = 1 in about 37% of the seeds (Wald covered 62 of 100)
+    model, lexicon = red_world(0.995)
+    graph = quant_over_tautology("every")
+    hits = 0
+    for seed in range(100):
+        lo, hi = q.eval_mc(graph, model, lexicon, samples=200, seed=seed).ci
+        hits += lo <= 0.995 <= hi
+    assert hits >= 85
 
 
 def test_mc_agrees_between_schemes_on_red_world():

@@ -213,3 +213,27 @@ def test_run_sums_are_correctly_rounded(seed):
     got = _fsum_runs(terms, starts, counts)
     expected = [math.fsum(terms[a:a + n].tolist()) for a, n in zip(starts, counts)]
     assert got.tolist() == expected
+
+
+def _wilson(p_hat, n, z):
+    center = (p_hat + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n))
+    return center - half, center + half
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_mc_lands_in_5_sigma_wilson_interval_of_exact(seed):
+    # a miss has probability below 1e-6 per check; the z = 5 interval is
+    # computed here, independently of the engine's 95% one
+    rng = random.Random(seed)
+    variables = tuple("xy"[: rng.randint(1, 2)])
+    graph, _ = random_vague_dag(rng, variables)
+    model, lexicon = random_dyadic_world(rng, variables)
+    samples = 2000
+    for scheme in q.LiftScheme:
+        exact = q.eval_exact(graph, model, lexicon, scheme).probability
+        mc = q.eval_mc(graph, model, lexicon, scheme, samples=samples, seed=seed)
+        lo, hi = _wilson(mc.probability, samples, 5.0)
+        assert lo - 1e-12 <= exact <= hi + 1e-12, (
+            scheme, q.serialize_prop(graph), exact, mc.probability)

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import math
 
 import pytest
 
 import quantale as q
+from quantale import cli, rsa
 from quantale.errors import AllFalse, NoViableUtterance
 from quantale.rsa import entropy, meaning_matrix, pragmatic_speaker
 
@@ -14,15 +16,17 @@ def load_scenario(fixtures_dir, name):
     return q.parse_scenario((fixtures_dir / name).read_text(), base_dir=fixtures_dir)
 
 
-def boolean_scenario(alpha=math.inf, costs=(0.0, 0.0)):
+def boolean_scenario(alpha=math.inf, costs=(0.0, 0.0), never=False):
     """Two states, two utterances with crisp meanings.
 
-    'narrow' is true only in state b; 'wide' is true in both.
+    'narrow' is true only in state b; 'wide' is true in both.  With
+    ``never``, a third utterance is false in both states.
     """
     model_a, lex_a = red_world(0.0)
     model_b, lex_b = red_world(1.0)
     narrow = q.parse_prop("(some (x) true (red x))")
     wide = q.parse_prop("true")
+    contradiction = q.parse_prop("(and (some (x) true (red x)) (no (x) true (red x)))")
     return q.RsaScenario(
         states=(
             q.RsaState("a", 0.5, q.rsa.World(model_a, lex_a)),
@@ -31,7 +35,8 @@ def boolean_scenario(alpha=math.inf, costs=(0.0, 0.0)):
         utterances=(
             q.RsaUtterance("narrow", narrow, costs[0]),
             q.RsaUtterance("wide", wide, costs[1]),
-        ),
+        )
+        + ((q.RsaUtterance("never", contradiction),) if never else ()),
         alpha=alpha,
     )
 
@@ -52,6 +57,15 @@ def test_scenario_validation():
         scenario.state("nope")
     with pytest.raises(KeyError):
         scenario.utterance("nope")
+
+
+@pytest.mark.parametrize("engine", ["mc", "exactt"])
+def test_scenario_rejects_engines_meanings_cannot_use(engine):
+    # mc needs a sample count and a seed per meaning; a typo is no engine
+    with pytest.raises(ValueError, match="RSA engine must be one of"):
+        dataclasses.replace(boolean_scenario(), engine=engine)
+    for usable in rsa.ENGINES:
+        assert dataclasses.replace(boolean_scenario(), engine=usable).engine == usable
 
 
 def test_meaning_matrix_boolean():
@@ -158,3 +172,66 @@ def test_meaning_respects_engine_choice():
     scenario = dataclasses.replace(boolean_scenario(), engine="naive")
     matrix = meaning_matrix(scenario)
     assert matrix["narrow"] == {"a": 0.0, "b": 1.0}
+
+
+def test_pragmatic_listener_with_an_utterance_false_everywhere():
+    # 'never' has no literal listener, so no speaker picks it: L1 on the
+    # other utterances is as without it, and L1 on 'never' itself is AllFalse
+    scenario = boolean_scenario(never=True)
+    assert q.pragmatic_listener(scenario, "narrow") == {"a": 0.0, "b": 1.0}
+    assert q.pragmatic_listener(scenario, "wide") == {"a": 1.0, "b": 0.0}
+    assert pragmatic_speaker(scenario, "a") == {"narrow": 0.0, "wide": 1.0, "never": 0.0}
+    with pytest.raises(AllFalse, match="no state makes a pragmatic speaker say 'never'"):
+        q.pragmatic_listener(scenario, "never")
+    with pytest.raises(AllFalse, match="utterance 'never' is false in every state"):
+        q.literal_listener(scenario, "never")
+
+
+def count_meanings(monkeypatch):
+    """Record the (utterance, state) of every call to ``rsa.meaning``."""
+    calls = []
+    original = rsa.meaning
+
+    def counted(scenario, utterance, state):
+        calls.append((utterance.id, state.id))
+        return original(scenario, utterance, state)
+
+    monkeypatch.setattr(rsa, "meaning", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["boolean", "donkey.scenario.json"])
+def test_each_agent_evaluates_each_meaning_once(monkeypatch, fixtures_dir, name):
+    if name == "boolean":
+        scenario = boolean_scenario(never=True)
+    else:
+        scenario = load_scenario(fixtures_dir, name)
+    calls = count_meanings(monkeypatch)
+    n_states, n_utterances = len(scenario.states), len(scenario.utterances)
+    first = scenario.utterances[0].id
+    agents = [
+        (q.literal_listener, first, n_states),
+        (pragmatic_speaker, scenario.states[-1].id, n_utterances * n_states),
+        (q.pragmatic_listener, first, n_utterances * n_states),
+        (lambda s, _: meaning_matrix(s), None, n_utterances * n_states),
+    ]
+    for agent, target, expected in agents:
+        calls.clear()
+        agent(scenario, target)
+        assert len(calls) == len(set(calls)) == expected, agent
+
+
+@pytest.mark.parametrize("name", ["donkey.scenario.json", "prevalence.scenario.json"])
+def test_cli_verbose_reuses_the_agents_matrix(monkeypatch, capsys, fixtures_dir, name):
+    scenario = load_scenario(fixtures_dir, name)
+    calls = count_meanings(monkeypatch)
+    for utterance in scenario.utterances:
+        calls.clear()
+        code = cli.main([
+            "rsa", "--scenario", str(fixtures_dir / name), "--agent", "l1",
+            "--utterance", utterance.id, "--verbose",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(calls) == len(set(calls)) == len(scenario.utterances) * len(scenario.states)
+        assert set(json.loads(out)["meanings"]) == {u.id for u in scenario.utterances}
