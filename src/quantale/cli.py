@@ -72,17 +72,7 @@ def _default_seed(args) -> int | None:
 
 
 def cmd_eval(args) -> int:
-    try:
-        model, lexicon, graph = _load_inputs(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except DslParseError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        _emit({"diagnostics": _diag_json(exc.diagnostics)})
-        return EXIT_DIAGNOSTICS
-
+    model, lexicon, graph = _load_inputs(args)
     limits = _engine.EngineLimits(
         config_cap=args.cap_configs, vague_node_cap=args.cap_vague_nodes
     )
@@ -150,17 +140,7 @@ def cmd_curve(args) -> int:
 
 def cmd_rsa(args) -> int:
     path = Path(args.scenario)
-    try:
-        scenario = parse_scenario(path.read_text(), base_dir=path.parent)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except DslParseError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        _emit({"diagnostics": _diag_json(exc.diagnostics)})
-        return EXIT_DIAGNOSTICS
-
+    scenario = parse_scenario(path.read_text(), base_dir=path.parent)
     matrix = _rsa.MeaningMatrix(scenario)
     option, agent, outcomes = {
         "l0": ("utterance", matrix.literal_listener, scenario.states),
@@ -189,16 +169,7 @@ def cmd_rsa(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        model, lexicon, graph = _load_inputs(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except DslParseError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        _emit(_diag_json(exc.diagnostics))
-        return EXIT_DIAGNOSTICS
+    model, lexicon, graph = _load_inputs(args)
     diagnostics = validate(graph, model, lexicon)
     _emit(_diag_json(diagnostics))
     if diagnostics:
@@ -264,6 +235,15 @@ def main(argv=None) -> int:
             args.scheme = "independent"
     try:
         return args.func(args)
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
+    except DslParseError as exc:
+        for d in exc.diagnostics:
+            print(str(d), file=sys.stderr)
+        diagnostics = _diag_json(exc.diagnostics)
+        _emit(diagnostics if args.command == "check" else {"diagnostics": diagnostics})
+        return EXIT_DIAGNOSTICS
     except QuantaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION

@@ -9,14 +9,17 @@ utterances together.  All rejections carry source diagnostics with
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
 from dataclasses import dataclass
+from json.decoder import scanstring
 from pathlib import Path
 
 from .errors import DslParseError
-from .model import LiftScheme, PixieSpace, SituationModel, VaguePredicate, VagueLexicon
+from .model import (MASS_TOL, LiftScheme, PixieSpace, SituationModel, VaguePredicate,
+                     VagueLexicon)
 from .quant import QuantifierKind
 from .rsa import ENGINES, RsaScenario, RsaState, RsaUtterance, World
 from .scope import (
@@ -27,8 +30,6 @@ from .scope import (
     Tautology,
     validate,
 )
-
-MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,147 +78,122 @@ class JValue:
     key_pos: dict | None = None  # key -> (line, column) for objects
 
 
+_WS = re.compile(r"[ \t\r\n]*")
 _NUMBER = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
-            "n": "\n", "r": "\r", "t": "\t"}
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+_LITERALS = (("true", True), ("false", False), ("null", None))
 
 
 class _JsonReader:
+    """Recursive-descent JSON reader that records where each value starts.
+
+    Strings are decoded by the standard library's scanner; its errors are
+    reported at the offending character, and every offset becomes a line
+    and column through the offsets of the text's newlines.
+    """
+
     def __init__(self, text: str, diags: _Diagnostics):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
         self.diags = diags
 
-    def _advance(self, n: int):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+    def _where(self, offset: int) -> tuple[int, int]:
+        k = bisect.bisect_left(self.newlines, offset)
+        return k + 1, offset - (self.newlines[k - 1] if k else -1)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self._advance(1)
+    def _fail(self, message, offset=None):
+        self.diags.fail(message, *self._where(self.pos if offset is None else offset))
 
-    def _peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _fail(self, message):
-        self.diags.fail(message, self.line, max(self.col, 1))
+    def _next(self) -> str:
+        """Skip whitespace; the next character, or '' at the end."""
+        self.pos = _WS.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
 
     def parse(self) -> JValue:
-        self._skip_ws()
         value = self._value()
-        self._skip_ws()
-        if self.pos < len(self.text):
+        if self._next():
             self._fail("trailing content after JSON document")
         return value
 
     def _value(self) -> JValue:
-        self._skip_ws()
-        ch = self._peek()
-        line, col = self.line, self.col
+        ch = self._next()
+        line, col = self._where(self.pos)
         if ch == "{":
-            return self._object()
+            return self._object(line, col)
         if ch == "[":
-            return self._array()
+            return self._array(line, col)
         if ch == '"':
             return JValue(self._string(), line, col)
         if ch and (ch.isdigit() or ch == "-"):
             m = _NUMBER.match(self.text, self.pos)
             if not m:
                 self._fail("malformed number")
-            self._advance(m.end() - self.pos)
-            text = m.group()
-            return JValue(float(text), line, col)
-        for word, lit in (("true", True), ("false", False), ("null", None)):
+            self.pos = m.end()
+            return JValue(float(m.group()), line, col)
+        for word, lit in _LITERALS:
             if self.text.startswith(word, self.pos):
-                self._advance(len(word))
+                self.pos += len(word)
                 return JValue(lit, line, col)
         self._fail("expected a JSON value")
 
     def _string(self) -> str:
-        self._advance(1)
-        out = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                self._fail("unterminated string")
-            if ch == '"':
-                self._advance(1)
-                return "".join(out)
-            if ch == "\\":
-                self._advance(1)
-                esc = self._peek()
-                if esc == "u":
-                    hex_digits = self.text[self.pos + 1 : self.pos + 5]
-                    if len(hex_digits) < 4:
-                        self._fail("bad unicode escape")
-                    out.append(chr(int(hex_digits, 16)))
-                    self._advance(5)
-                elif esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                    self._advance(1)
-                else:
-                    self._fail(f"bad escape \\{esc}")
-            else:
-                out.append(ch)
-                self._advance(1)
+        text = self.text
+        try:
+            value, self.pos = scanstring(text, self.pos + 1, False)
+            return value
+        except json.JSONDecodeError as exc:
+            at = exc.pos
+            if exc.msg.startswith("Invalid \\escape"):
+                at += text[at] == "\\"  # the C scanner points at the backslash
+                self._fail(f"bad escape \\{text[at]}", at)
+            if exc.msg.startswith("Invalid \\u") and not _HEX4.match(text, at + 1):
+                self._fail("bad unicode escape", at)
+        # the string runs to the end of the text, perhaps inside an escape; the
+        # C scanner also calls four hex digits at the very end a bad \u escape
+        dangling = (len(text) - len(text.rstrip("\\"))) % 2
+        self._fail("bad escape \\" if dangling else "unterminated string", len(text))
 
-    def _object(self) -> JValue:
-        line, col = self.line, self.col
-        self._advance(1)
+    def _more(self, close: str) -> bool:
+        """Step past the ',' (True) or the closing bracket (False) after an item."""
+        ch = self._next()
+        if ch not in (",", close):
+            self._fail(f"expected ',' or '{close}'")
+        self.pos += 1
+        return ch == ","
+
+    def _object(self, line, col) -> JValue:
+        self.pos += 1
         entries: dict[str, JValue] = {}
         key_pos: dict[str, tuple[int, int]] = {}
-        self._skip_ws()
-        if self._peek() == "}":
-            self._advance(1)
+        if self._next() == "}":
+            self.pos += 1
             return JValue(entries, line, col, key_pos)
         while True:
-            self._skip_ws()
-            if self._peek() != '"':
+            if self._next() != '"':
                 self._fail("expected object key")
-            kline, kcol = self.line, self.col
+            where = self._where(self.pos)
             key = self._string()
             if key in entries:
                 self._fail(f"duplicate key {key!r}")
-            self._skip_ws()
-            if self._peek() != ":":
+            if self._next() != ":":
                 self._fail("expected ':'")
-            self._advance(1)
+            self.pos += 1
             entries[key] = self._value()
-            key_pos[key] = (kline, kcol)
-            self._skip_ws()
-            if self._peek() == ",":
-                self._advance(1)
-                continue
-            if self._peek() == "}":
-                self._advance(1)
+            key_pos[key] = where
+            if not self._more("}"):
                 return JValue(entries, line, col, key_pos)
-            self._fail("expected ',' or '}'")
 
-    def _array(self) -> JValue:
-        line, col = self.line, self.col
-        self._advance(1)
+    def _array(self, line, col) -> JValue:
+        self.pos += 1
         items: list[JValue] = []
-        self._skip_ws()
-        if self._peek() == "]":
-            self._advance(1)
+        if self._next() == "]":
+            self.pos += 1
             return JValue(items, line, col)
         while True:
             items.append(self._value())
-            self._skip_ws()
-            if self._peek() == ",":
-                self._advance(1)
-                continue
-            if self._peek() == "]":
-                self._advance(1)
+            if not self._more("]"):
                 return JValue(items, line, col)
-            self._fail("expected ',' or ']'")
 
 
 def _expect(diags, jv: JValue, types, what: str):
@@ -617,9 +593,6 @@ def serialize_prop(graph: ScopeGraph) -> str:
 
 # --- scenarios ----------------------------------------------------------------
 
-_SCHEMES = {"independent", "coupled-threshold"}
-
-
 def _load_prop_source(value: str, base_dir: Path, diags, line, col):
     text = value.strip()
     if text.startswith("(") or text == "true" or text.startswith("#"):
@@ -670,13 +643,15 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
                 continue
             if not _check_keys(diags, s_jv, ("id", "prior", "world"), optional=("scheme",)):
                 continue
+            if not all([_expect(diags, s_jv.value[k], str, f"'{k}'") for k in ("id", "world")]):
+                continue
             sid = s_jv.value["id"].value
             prior = s_jv.value["prior"].value
             world_rel = s_jv.value["world"].value
             scheme = LiftScheme.INDEPENDENT
             if "scheme" in s_jv.value:
                 sch_jv = s_jv.value["scheme"]
-                if sch_jv.value not in _SCHEMES:
+                if sch_jv.value not in [s.value for s in LiftScheme]:  # may be unhashable
                     diags.error(f"unknown scheme {sch_jv.value!r}", sch_jv.line, sch_jv.column)
                     continue
                 scheme = LiftScheme(sch_jv.value)
@@ -708,6 +683,8 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
                 continue
             if not _check_keys(diags, u_jv, ("id", "prop"), optional=("cost",)):
                 continue
+            if not all([_expect(diags, u_jv.value[k], str, f"'{k}'") for k in ("id", "prop")]):
+                continue
             uid = u_jv.value["id"].value
             cost = 0.0
             if "cost" in u_jv.value:
@@ -729,16 +706,10 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
                 continue
             utterances.append(RsaUtterance(uid, graph, cost))
     diags.raise_if_any()
-
-    ids = [s.id for s in states]
-    if len(set(ids)) != len(ids):
-        diags.fail("duplicate state ids", doc.line, doc.column)
-    uids = [u.id for u in utterances]
-    if len(set(uids)) != len(uids):
-        diags.fail("duplicate utterance ids", doc.line, doc.column)
-    total = math.fsum(s.prior for s in states)
-    if abs(total - 1.0) > MASS_TOL:
-        diags.fail(f"state priors sum to {total:.12g} ≠ 1", doc.line, doc.column)
+    try:
+        scenario = RsaScenario(tuple(states), tuple(utterances), alpha, engine)
+    except ValueError as exc:
+        diags.fail(str(exc), doc.line, doc.column)
 
     for utterance in utterances:
         for state in states:
@@ -750,4 +721,4 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
                     doc.column,
                 )
     diags.raise_if_any()
-    return RsaScenario(tuple(states), tuple(utterances), alpha, engine)
+    return scenario

@@ -60,6 +60,7 @@ from .quant import (
     empty_restriction_value,
     is_precise,
     shape_values,
+    threshold_regions,
 )
 from .scope import (
     Application,
@@ -157,29 +158,6 @@ def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
         total[k] = math.fsum(terms[first[k]:first[k] + length[k]].tolist())
     out[order] = total
     return out
-
-
-def _threshold_regions(values: np.ndarray):
-    """Threshold regions of each batch row of a vague node's table.
-
-    Region k of a row is (lo, hi] between consecutive values of 0, the
-    row's distinct values strictly inside (0, 1), and 1; thresholding the
-    table at any theta in it equals thresholding at ``hi``.  Returns the
-    batch row, ``hi`` and length of every region, rows in order, plus
-    where each row's regions start and how many there are.
-    """
-    cuts = np.sort(values, axis=1)
-    keep = (cuts > 0.0) & (cuts < 1.0)
-    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
-    ones = np.ones((len(cuts), 1))
-    cuts = np.concatenate([cuts, ones], axis=1)
-    keep = np.concatenate([keep, ones.astype(bool)], axis=1)
-    row, hi = np.nonzero(keep)[0], cuts[keep]
-    counts = keep.sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    lo = np.concatenate([[0.0], hi[:-1]])
-    lo[starts] = 0.0
-    return row, hi, hi - lo, starts, counts
 
 
 class _Core:
@@ -303,7 +281,7 @@ class _Core:
         if pos is None:
             return self.root(tables)
         i = self.order[pos]
-        row, hi, length, starts, counts = _threshold_regions(tables[i])
+        row, lo, hi, starts, counts = threshold_regions(tables[i])
         keep = [j for j in tables if j != i and self.last_use.get(j, -1) > pos]
         out = np.empty(len(row))
         for a in range(0, len(row), self.chunk):
@@ -311,7 +289,7 @@ class _Core:
             branch = {j: tables[j][row[part]] for j in keep}
             branch[i] = (tables[i][row[part]] >= hi[part, None]).astype(float)
             out[part] = self.expectation(branch, pos + 1)
-        return _fsum_runs(length * out, starts, counts)
+        return _fsum_runs((hi - lo) * out, starts, counts)
 
     def sampled(self, tables, thetas: np.ndarray) -> np.ndarray:
         """Root values with vague node k thresholded at ``thetas[:, k]``."""

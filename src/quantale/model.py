@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExplosionGuard, UnknownVariable
-from .quant import threshold_partition
+from .quant import threshold_regions
 
 MASS_TOL = 1e-9
 
@@ -93,12 +93,6 @@ class SituationModel:
             (tuple(a[i] for i in order), m) for a, m in self.joint if m != 0.0
         )
         return (vars_sorted, tuple(entries))
-
-    def _indices(self, vars):
-        try:
-            return [self.variables.index(v) for v in vars]
-        except ValueError as exc:
-            raise UnknownVariable(str(exc).split("'")[0] or str(exc)) from exc
 
     def marginal(self, vars) -> dict[tuple[str, ...], float]:
         """Sum joint mass over the eliminated variables.
@@ -235,8 +229,9 @@ class LiftPlan:
             self.count = 2 ** len(self._p)
             self.draws = len(self._p)
         elif scheme is LiftScheme.COUPLED_THRESHOLD:
-            self._regions = [threshold_partition(row.tolist()) for row in self.psi]
-            self.count = math.prod(len(r) for r in self._regions)
+            _, lo, self._hi, self._starts, self._counts = threshold_regions(self.psi)
+            self._measure = self._hi - lo
+            self.count = math.prod(self._counts.tolist())
             self.draws = len(self.names)
         else:
             raise ValueError(f"unknown lifting scheme {scheme!r}")
@@ -266,13 +261,14 @@ class LiftPlan:
                 weights *= np.where(holds[:, k], p, 1.0 - p)
             return self._fill(holds), weights
         picks = []
-        for regions in reversed(self._regions):
-            picks.append(index % len(regions))
-            index = index // len(regions)
+        for count in reversed(self._counts.tolist()):
+            picks.append(index % count)
+            index = index // count
         bits = np.empty((len(weights), *self.psi.shape), dtype=bool)
-        for k, (regions, pick) in enumerate(zip(self._regions, reversed(picks))):
-            weights *= np.array([r.measure for r in regions])[pick]
-            bits[:, k] = self.psi[k] >= np.array([r.hi for r in regions])[pick][:, None]
+        for k, pick in enumerate(reversed(picks)):
+            pick = self._starts[k] + pick
+            weights *= self._measure[pick]
+            bits[:, k] = self.psi[k] >= self._hi[pick][:, None]
         return bits, weights
 
     def sample(self, uniforms: np.ndarray) -> np.ndarray:

@@ -157,12 +157,35 @@ class ThresholdRegion:
         object.__setattr__(self, "measure", self.hi - self.lo)
 
 
+def threshold_regions(values: np.ndarray):
+    """Threshold regions of each row of a 2-d array of values.
+
+    Region k of a row is (lo, hi] between consecutive values of 0, the
+    row's distinct values strictly inside (0, 1), and 1; thresholding the
+    row at any theta in it equals thresholding at ``hi``.  Returns the
+    row, ``lo`` and ``hi`` of every region, rows in order, plus where each
+    row's regions start and how many there are.
+    """
+    cuts = np.sort(values, axis=1)
+    keep = (cuts > 0.0) & (cuts < 1.0)
+    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    ones = np.ones((len(cuts), 1))
+    cuts = np.concatenate([cuts, ones], axis=1)
+    keep = np.concatenate([keep, ones.astype(bool)], axis=1)
+    row, hi = np.nonzero(keep)[0], cuts[keep]
+    counts = keep.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    lo = np.zeros_like(hi)
+    lo[1:] = hi[:-1]
+    lo[starts] = 0.0
+    return row, lo, hi, starts, counts
+
+
 def threshold_partition(values) -> list[ThresholdRegion]:
     """Partition (0, 1] at the given cut values.
 
     Values at 0 or 1 add no interior cuts.  Within each returned region,
     ``[value >= theta]`` is constant for every value in ``values``.
     """
-    cuts = sorted({v for v in values if 0.0 < v < 1.0})
-    bounds = [0.0] + cuts + [1.0]
-    return [ThresholdRegion(a, b) for a, b in zip(bounds, bounds[1:])]
+    _, lo, hi, _, _ = threshold_regions(np.array([list(values)], dtype=float))
+    return [ThresholdRegion(a, b) for a, b in zip(lo.tolist(), hi.tolist())]

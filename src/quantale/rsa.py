@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 from .engine import evaluate
 from .errors import AllFalse, NoViableUtterance
-from .model import LiftScheme, SituationModel, VagueLexicon
+from .model import MASS_TOL, LiftScheme, SituationModel, VagueLexicon
 from .scope import ScopeGraph
 
-MASS_TOL = 1e-9
 # deterministic engines; mc would need a sample count and a seed per meaning
 ENGINES = ("naive", "exact", "generic-fast")
 
@@ -63,9 +62,12 @@ class RsaScenario:
             raise ValueError("scenario needs at least one state")
         if not self.utterances:
             raise ValueError("scenario needs at least one utterance")
+        for kind, items in (("state", self.states), ("utterance", self.utterances)):
+            if len({x.id for x in items}) != len(items):
+                raise ValueError(f"duplicate {kind} ids")
         total = math.fsum(s.prior for s in self.states)
         if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"state priors sum to {total}, expected 1")
+            raise ValueError(f"state priors sum to {total:.12g} ≠ 1")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.engine not in ENGINES:

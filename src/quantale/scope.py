@@ -60,9 +60,6 @@ class ScopeGraph:
     root: int
     aliases: dict[str, int] = field(default_factory=dict)
 
-    def node(self, index: int) -> ScopeNode:
-        return self.nodes[index]
-
     def quantifier_nodes(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if isinstance(n, Quantifier)]
 
@@ -76,25 +73,6 @@ class ScopeGraph:
             seen.add(i)
             stack.extend(_children(self.nodes[i]))
         return seen
-
-
-def _find_cycle(graph: ScopeGraph) -> bool:
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = [WHITE] * len(graph.nodes)
-
-    def visit(i):
-        if colour[i] == GREY:
-            return True
-        if colour[i] == BLACK:
-            return False
-        colour[i] = GREY
-        for c in _children(graph.nodes[i]):
-            if not 0 <= c < len(graph.nodes) or visit(c):
-                return True
-        colour[i] = BLACK
-        return False
-
-    return visit(graph.root)
 
 
 def free_vars(graph: ScopeGraph, node: int, _memo: dict | None = None) -> frozenset[str]:
@@ -127,19 +105,23 @@ def free_vars(graph: ScopeGraph, node: int, _memo: dict | None = None) -> frozen
 def topological_order(graph: ScopeGraph) -> list[int]:
     """Reachable nodes ordered children-first; deterministic.
 
-    Raises CycleDetected if the reachable subgraph is cyclic.
+    Raises CycleDetected if the reachable subgraph is cyclic or refers to
+    a missing node.
     """
-    if _find_cycle(graph):
-        raise CycleDetected("scope graph contains a cycle")
     order: list[int] = []
-    placed = set()
+    placed: dict[int, bool] = {}  # False while on the walk's path
 
     def visit(i):
         if i in placed:
+            if not placed[i]:
+                raise CycleDetected("scope graph contains a cycle")
             return
-        placed.add(i)
+        placed[i] = False
         for c in _children(graph.nodes[i]):
+            if not 0 <= c < len(graph.nodes):
+                raise CycleDetected("scope graph contains a cycle")
             visit(c)
+        placed[i] = True
         order.append(i)
 
     visit(graph.root)
@@ -161,11 +143,12 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
         diagnostics.append(f"root index {graph.root} out of range")
     if diagnostics:
         return diagnostics
-    if _find_cycle(graph):
-        diagnostics.append("scope graph contains a cycle")
-        return diagnostics
+    try:
+        order = topological_order(graph)
+    except CycleDetected as exc:
+        return [str(exc)]
 
-    for i in sorted(graph.reachable()):
+    for i in sorted(order):
         n = graph.nodes[i]
         if isinstance(n, Application):
             if n.predicate not in lexicon:

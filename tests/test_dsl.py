@@ -105,6 +105,57 @@ def test_world_malformed_json_fails_fast():
     assert diags[-1].severity == "error"
 
 
+BS = "\\"  # one backslash, kept out of the JSON texts below for legibility
+
+MALFORMED_JSON = [
+    # (case, text, message, line, column)
+    ("expected-value", '{"pixies": ,}', "expected a JSON value", 1, 12),
+    ("empty", "", "expected a JSON value", 1, 1),
+    ("malformed-number", '{\n  "pixies": [-x]\n}', "malformed number", 2, 14),
+    ("unterminated-string", '{"pixies": ["a', "unterminated string", 1, 15),
+    ("unterminated-after-unicode-escape", '{"pixies": ["' + BS + "u0041",
+     "unterminated string", 1, 20),
+    ("bad-escape", '{"pixies": ["' + BS + 'q"]}', "bad escape " + BS + "q", 1, 15),
+    ("dangling-backslash", '{"pixies": ["a' + BS, "bad escape " + BS, 1, 16),
+    ("bad-unicode-escape", '{"pixies": ["' + BS + "u12", "bad unicode escape", 1, 15),
+    ("duplicate-key", '{"pixies": [],\n "pixies": []}', "duplicate key 'pixies'", 2, 10),
+    ("expected-object-key", '{"pixies": [], }', "expected object key", 1, 16),
+    ("expected-colon", '{"pixies" []}', "expected ':'", 1, 11),
+    ("expected-comma-or-brace", '{"pixies": []\n  "variables": []}',
+     "expected ',' or '}'", 2, 3),
+    ("expected-comma-or-bracket", '{"pixies": ["a" "b"]}', "expected ',' or ']'", 1, 17),
+    ("newline-in-string", '{"pixies": ["a\nb" "c"]}', "expected ',' or ']'", 2, 4),
+    ("trailing-content", "{}\n  {}", "trailing content after JSON document", 2, 3),
+    ("crlf-trailing-comma", '{\r\n  "pixies": [\r\n    "a",\r\n  ]\r\n}',
+     "expected a JSON value", 4, 3),
+    ("crlf-duplicate-key", '{\r\n  "pixies": [],\r\n  "pixies": []\r\n}',
+     "duplicate key 'pixies'", 3, 11),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [row[1:] for row in MALFORMED_JSON],
+    ids=[row[0] for row in MALFORMED_JSON],
+)
+def test_malformed_json_diagnostics(text, message, line, column):
+    (diag,) = diagnostics_of(q.parse_world, text)
+    assert (diag.message, diag.line, diag.column) == (message, line, column)
+    assert "\r" not in diag.snippet
+
+
+def test_non_hex_unicode_escape_is_a_diagnostic():
+    (diag,) = diagnostics_of(q.parse_world, '{"pixies": [\n  "' + BS + 'uZZZZ"]}')
+    assert (diag.message, diag.line, diag.column) == ("bad unicode escape", 2, 5)
+
+
+def test_escaped_surrogate_pair_is_one_character():
+    text = ('{"pixies": ["' + BS + "ud83d" + BS + 'ude00"], "variables": [],'
+            ' "joint": [{"assign": {}, "prob": 1.0}], "predicates": {}}')
+    model, _ = q.parse_world(text)
+    assert model.space.elements == ("\U0001F600",)
+
+
 # --- propositions --------------------------------------------------------------
 
 def test_parse_prop_simple():
@@ -277,3 +328,35 @@ def test_scenario_rejects_engines_rsa_cannot_use(tmp_path, engine):
 }}"""
     diags = diagnostics_of(q.parse_scenario, text, tmp_path)
     assert any(f"unknown engine {engine!r}" in d.message for d in diags)
+
+
+def test_scenario_duplicate_ids_are_one_diagnostic_at_the_document(tmp_path):
+    (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
+    text = """{
+  "states": [{"id": "s", "prior": 1.0, "world": "red.world.json"}],
+  "utterances": [{"id": "u", "prop": "true"}, {"id": "u", "prop": "true"}]
+}"""
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == ("duplicate utterance ids", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "state, utterance, message, line, column",
+    [
+        ('"id": 7, "prior": 1.0, "world": "red.world.json"', '"id": "u", "prop": "true"',
+         "'id' must be a string", 2, 21),
+        ('"id": "s", "prior": 1.0, "world": 3', '"id": "u", "prop": "true"',
+         "'world' must be a string", 2, 49),
+        ('"id": "s", "prior": 1.0, "world": "red.world.json"', '"id": 7, "prop": "true"',
+         "'id' must be a string", 3, 25),
+        ('"id": "s", "prior": 1.0, "world": "red.world.json"', '"id": "u", "prop": 5',
+         "'prop' must be a string", 3, 38),
+    ],
+    ids=["state-id", "world", "utterance-id", "prop"],
+)
+def test_scenario_ids_worlds_and_props_must_be_strings(tmp_path, state, utterance,
+                                                       message, line, column):
+    (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
+    text = f'{{\n  "states": [{{{state}}}],\n  "utterances": [{{{utterance}}}]\n}}'
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == (message, line, column)

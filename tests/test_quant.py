@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 import quantale as q
 from quantale.errors import ShapeDomainError
-from quantale.quant import BUILTIN_SHAPES, PRECISE_KINDS, VAGUE_KINDS, is_precise
+from quantale.quant import (BUILTIN_SHAPES, PRECISE_KINDS, VAGUE_KINDS, is_precise,
+                            threshold_regions)
 
 
 def test_precise_shapes_are_steps():
@@ -79,6 +81,16 @@ def test_threshold_partition_no_interior_cuts():
     regions = q.threshold_partition([0.0, 1.0])
     assert len(regions) == 1
     assert regions[0].measure == 1.0
+
+
+def test_threshold_regions_per_row_match_threshold_partition():
+    rows = [[0.3, 0.7, 0.0, 1.0, 0.3], [0.0, 1.0, 1.0, 0.0, 0.0], [0.5, 0.25, 0.5, 0.75, 1.0]]
+    row, lo, hi, starts, counts = threshold_regions(np.array(rows))
+    for k, values in enumerate(rows):
+        part = slice(starts[k], starts[k] + counts[k])
+        assert (row[part] == k).all()
+        regions = q.threshold_partition(values)
+        assert list(zip(lo[part], hi[part])) == [(r.lo, r.hi) for r in regions]
 
 
 def test_threshold_region_semantics():

@@ -68,6 +68,19 @@ def test_scenario_rejects_engines_meanings_cannot_use(engine):
         assert dataclasses.replace(boolean_scenario(), engine=usable).engine == usable
 
 
+def test_scenario_rejects_duplicate_ids():
+    # every lookup by id would see only the first of two equal ids: with
+    # both utterances named 'u', state a's speaker found no viable utterance
+    scenario = boolean_scenario()
+    false_in_a, true_in_a = scenario.utterances
+    with pytest.raises(ValueError, match="duplicate utterance ids"):
+        dataclasses.replace(scenario, utterances=(
+            dataclasses.replace(false_in_a, id="u"), dataclasses.replace(true_in_a, id="u")))
+    with pytest.raises(ValueError, match="duplicate state ids"):
+        dataclasses.replace(scenario, states=tuple(
+            dataclasses.replace(s, id="s") for s in scenario.states))
+
+
 def test_meaning_matrix_boolean():
     scenario = boolean_scenario()
     matrix = meaning_matrix(scenario)

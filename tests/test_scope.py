@@ -68,6 +68,14 @@ def test_cycle_detection():
     assert q.validate(graph, model, lexicon) == ["scope graph contains a cycle"]
 
 
+def test_missing_child_stops_the_walk():
+    graph = q.ScopeGraph((q.Tautology(), q.Conjunction((0, 5))), root=1)
+    with pytest.raises(CycleDetected):
+        q.topological_order(graph)
+    model, lexicon = red_world(0.5)
+    assert q.validate(graph, model, lexicon) == ["node 1 references missing node 5"]
+
+
 def test_validate_clean_graph():
     model, lexicon = red_world(0.5)
     assert q.validate(quant_over_tautology("every"), model, lexicon) == []
