@@ -235,7 +235,7 @@ def main(argv=None) -> int:
             args.scheme = "independent"
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except DslParseError as exc:

@@ -13,6 +13,7 @@ import bisect
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from json.decoder import scanstring
 from pathlib import Path
@@ -28,6 +29,8 @@ from .scope import (
     Quantifier,
     ScopeGraph,
     Tautology,
+    children,
+    topological_order,
     validate,
 )
 
@@ -44,20 +47,29 @@ class SourceDiagnostic:
         return f"{self.severity}: {self.message} (line {self.line}, column {self.column})"
 
 
-def _snippet(text: str, line: int) -> str:
-    lines = text.splitlines() or [""]
-    return lines[min(line, len(lines)) - 1]
-
-
 class _Diagnostics:
+    """Diagnostics on one source text; only line feeds break it into lines."""
+
     def __init__(self, text: str):
         self.text = text
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
         self.items: list[SourceDiagnostic] = []
 
+    def where(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of a text offset."""
+        k = bisect.bisect_left(self.newlines, offset)
+        return k + 1, offset - (self.newlines[k - 1] if k else -1)
+
+    def snippet(self, line: int) -> str:
+        """The line, without its line break; past the end, the last line."""
+        last = len(self.newlines) + (not self.text.endswith("\n"))
+        k = min(line, max(last, 1)) - 1
+        start = self.newlines[k - 1] + 1 if k else 0
+        end = self.newlines[k] if k < len(self.newlines) else len(self.text)
+        return self.text[start:end].removesuffix("\r")
+
     def error(self, message: str, line: int, column: int):
-        self.items.append(
-            SourceDiagnostic("error", message, line, column, _snippet(self.text, line))
-        )
+        self.items.append(SourceDiagnostic("error", message, line, column, self.snippet(line)))
 
     def raise_if_any(self):
         if self.items:
@@ -88,22 +100,16 @@ class _JsonReader:
     """Recursive-descent JSON reader that records where each value starts.
 
     Strings are decoded by the standard library's scanner; its errors are
-    reported at the offending character, and every offset becomes a line
-    and column through the offsets of the text's newlines.
+    reported at the offending character.
     """
 
     def __init__(self, text: str, diags: _Diagnostics):
         self.text = text
         self.pos = 0
-        self.newlines = [m.start() for m in re.finditer("\n", text)]
         self.diags = diags
 
-    def _where(self, offset: int) -> tuple[int, int]:
-        k = bisect.bisect_left(self.newlines, offset)
-        return k + 1, offset - (self.newlines[k - 1] if k else -1)
-
     def _fail(self, message, offset=None):
-        self.diags.fail(message, *self._where(self.pos if offset is None else offset))
+        self.diags.fail(message, *self.diags.where(self.pos if offset is None else offset))
 
     def _next(self) -> str:
         """Skip whitespace; the next character, or '' at the end."""
@@ -118,7 +124,7 @@ class _JsonReader:
 
     def _value(self) -> JValue:
         ch = self._next()
-        line, col = self._where(self.pos)
+        line, col = self.diags.where(self.pos)
         if ch == "{":
             return self._object(line, col)
         if ch == "[":
@@ -172,7 +178,7 @@ class _JsonReader:
         while True:
             if self._next() != '"':
                 self._fail("expected object key")
-            where = self._where(self.pos)
+            where = self.diags.where(self.pos)
             key = self._string()
             if key in entries:
                 self._fail(f"duplicate key {key!r}")
@@ -370,7 +376,8 @@ _KINDS = {
 }
 _RESERVED = set(_KINDS) | {"let", "and", "true"}
 
-_ATOM = re.compile(r"[^()\s;]+")
+# a comment, a parenthesis or an atom; anything else is whitespace
+_TOKEN = re.compile(r";[^\n]*|[()]|[^()\s;]+")
 
 
 @dataclass(frozen=True)
@@ -382,30 +389,11 @@ class _Tok:
 
 
 def _tokenize(text: str, diags: _Diagnostics) -> list[_Tok]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Tok(ch, ch, line, col))
-            col += 1
-            i += 1
-        else:
-            m = _ATOM.match(text, i)
-            tokens.append(_Tok("atom", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-    return tokens
+    return [
+        _Tok(tok if tok in "()" else "atom", tok, *diags.where(m.start()))
+        for m in _TOKEN.finditer(text)
+        if not (tok := m.group()).startswith(";")
+    ]
 
 
 def _read_datum(tokens, pos, diags):
@@ -534,22 +522,8 @@ def parse_prop(text: str) -> ScopeGraph:
 
 def serialize_prop(graph: ScopeGraph) -> str:
     """Canonical proposition text; shared nodes become let-bindings."""
-    reachable = graph.reachable()
-    indegree = {i: 0 for i in reachable}
-    for i in reachable:
-        node = graph.nodes[i]
-        if isinstance(node, Conjunction):
-            kids = node.children
-        elif isinstance(node, Quantifier):
-            kids = (node.restriction, node.body)
-        else:
-            kids = ()
-        for c in kids:
-            indegree[c] += 1
-
-    from .scope import topological_order
-
     order = topological_order(graph)
+    indegree = Counter(c for i in order for c in children(graph.nodes[i]))
     alias_of: dict[int, str] = {}
     taken = set()
     preferred = {}
@@ -557,7 +531,7 @@ def serialize_prop(graph: ScopeGraph) -> str:
         preferred.setdefault(idx, name)
     counter = 0
     for i in order:
-        if indegree.get(i, 0) >= 2:
+        if indegree[i] >= 2:
             name = preferred.get(i)
             if name is None or name in taken:
                 while f"n{counter}" in taken or f"n{counter}" in graph.aliases.values():
@@ -628,10 +602,9 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
     engine = "exact"
     if "engine" in doc.value:
         e_jv = doc.value["engine"]
-        if e_jv.value in ENGINES:
-            engine = e_jv.value
-        else:
+        if _expect(diags, e_jv, str, "'engine'") and e_jv.value not in ENGINES:
             diags.error(f"unknown engine {e_jv.value!r}", e_jv.line, e_jv.column)
+        engine = e_jv.value  # only used if no diagnostic was recorded
 
     states: list[RsaState] = []
     jv = doc.value["states"]
@@ -651,7 +624,9 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
             scheme = LiftScheme.INDEPENDENT
             if "scheme" in s_jv.value:
                 sch_jv = s_jv.value["scheme"]
-                if sch_jv.value not in [s.value for s in LiftScheme]:  # may be unhashable
+                if not _expect(diags, sch_jv, str, "'scheme'"):
+                    continue
+                if sch_jv.value not in {s.value for s in LiftScheme}:
                     diags.error(f"unknown scheme {sch_jv.value!r}", sch_jv.line, sch_jv.column)
                     continue
                 scheme = LiftScheme(sch_jv.value)

@@ -53,7 +53,6 @@ from .model import (
     LiftScheme,
     SituationModel,
     VagueLexicon,
-    psi_table,
 )
 from .quant import (
     QuantifierKind,
@@ -89,7 +88,6 @@ CHUNK_CELLS = 2**13
 class EngineLimits:
     config_cap: int = DEFAULT_CONFIG_CAP
     vague_node_cap: int = DEFAULT_VAGUE_NODE_CAP
-    denom_guard: float = DENOM_GUARD
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,6 @@ class GenericComparison:
     exact: float
     fast: float
     gap: float
-
-
-def _validate_or_raise(graph, model, lexicon):
-    diagnostics = validate(graph, model, lexicon)
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
 
 
 def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -161,13 +153,22 @@ def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
 
 
 class _Core:
-    """Row tables of one (graph, model) pair and the pass over them."""
+    """Everything one evaluation of a graph reads, and the pass over it.
 
-    def __init__(self, graph: ScopeGraph, model: SituationModel, generic_empty=1.0,
-                 guard=DENOM_GUARD):
+    ``names`` are the applied predicates, sorted, and ``psi`` their vague
+    values, one row per name and one column per pixie of the space.  A
+    cell that no positive-mass row reads holds 0, so a lift of ``psi``
+    neither enumerates nor samples it.  ``cells`` maps each application
+    to its predicate's row of ``psi`` and the pixie each row reads.
+    """
+
+    def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
+                 generic_empty=1.0):
+        diagnostics = validate(graph, model, lexicon)
+        if diagnostics:
+            raise ValidationFailed(diagnostics)
         self.graph = graph
         self.generic_empty = generic_empty
-        self.guard = guard
         self.order = topological_order(graph)
         memo: dict[int, frozenset[str]] = {}
         free = {i: sorted(free_vars(graph, i, memo)) for i in self.order}
@@ -177,12 +178,11 @@ class _Core:
             if isinstance(graph.nodes[i], Quantifier)
             and not is_precise(graph.nodes[i].kind)
         ]
+        applications = [graph.nodes[i] for i in self.order
+                        if isinstance(graph.nodes[i], Application)]
+        self.names = sorted({a.predicate for a in applications})
         # Only the variables some application reads tell rows apart.
-        applied = {
-            graph.nodes[i].variable
-            for i in self.order
-            if isinstance(graph.nodes[i], Application)
-        }
+        applied = {a.variable for a in applications}
         variables = [v for v in model.variables if v in applied]
         joint = model.marginal(variables) if variables else {(): 1.0}
         rows = [(a, m) for a, m in joint.items() if m > 0.0]
@@ -190,16 +190,22 @@ class _Core:
         self.width = len(rows)
         self.chunk = max(1, CHUNK_CELLS // self.width)  # batch rows per chunk
         column = {v: k for k, v in enumerate(variables)}
-        pixie = {p: k for k, p in enumerate(model.space.elements)}
+        space = model.space.elements
+        pixie = {p: k for k, p in enumerate(space)}
+        name_row = {n: k for k, n in enumerate(self.names)}
+        self.psi = np.zeros((len(self.names), len(space)))
+        self.cells: dict[int, tuple[int, np.ndarray]] = {}
         # position of the last node that reads each node's table
         self.last_use = {self.graph.root: len(self.order)}
-        self.pixies: dict[int, np.ndarray] = {}
         self.groups: dict[int, tuple] = {}
         for pos, i in enumerate(self.order):
             node = graph.nodes[i]
             if isinstance(node, Application):
-                k = column[node.variable]
-                self.pixies[i] = np.array([pixie[a[k]] for a, _ in rows], dtype=np.intp)
+                k, c = name_row[node.predicate], column[node.variable]
+                cols = [pixie[a[c]] for a, _ in rows]
+                self.cells[i] = (k, np.array(cols, dtype=np.intp))
+                read = list(set(cols))  # np.unique's first call costs ~1.7 MB of RSS
+                self.psi[k, read] = [lexicon.psi(node.predicate, space[j]) for j in read]
             elif isinstance(node, Conjunction):
                 self.last_use.update(dict.fromkeys(node.children, pos))
             elif isinstance(node, Quantifier):
@@ -214,19 +220,15 @@ class _Core:
                 self.groups[i] = (np.argsort(group, kind="stable"),
                                   np.cumsum(sizes) - sizes, sizes, group)
 
-    def leaves(self, truth: np.ndarray, names) -> dict[int, np.ndarray]:
+    def leaves(self, truth: np.ndarray) -> dict[int, np.ndarray]:
         """Tables of every application and tautology node.
 
-        ``truth`` has shape (batch, predicates, pixies), predicates in
-        the order of ``names``: configuration bits or vague values.
+        ``truth`` has shape (batch, predicates, pixies), laid out as
+        ``psi``: configuration bits or vague values.
         """
-        index = {name: k for k, name in enumerate(names)}
-        tables = {}
+        tables = {i: truth[:, k, cols].astype(float) for i, (k, cols) in self.cells.items()}
         for i in self.order:
-            node = self.graph.nodes[i]
-            if isinstance(node, Application):
-                tables[i] = truth[:, index[node.predicate], self.pixies[i]].astype(float)
-            elif isinstance(node, Tautology):
+            if isinstance(self.graph.nodes[i], Tautology):
                 tables[i] = np.ones((len(truth), self.width))
         return tables
 
@@ -266,12 +268,21 @@ class _Core:
         den_terms = self.mass * r
         den = group_sums(den_terms)
         num = group_sums(den_terms * b)
-        filled = den > self.guard
+        filled = den > DENOM_GUARD
         values = np.full(den.shape, empty_restriction_value(node.kind, self.generic_empty))
         values[filled] = shape_values(node.kind, np.minimum(num[filled] / den[filled], 1.0))
         return values[:, group]
 
-    def root(self, tables) -> np.ndarray:
+    def values(self, tables, thetas: np.ndarray | None = None) -> np.ndarray:
+        """Root values per batch row.  Vague node k is thresholded at
+        ``thetas[:, k]`` if given; otherwise vague nodes keep their values."""
+        pos = self.advance(tables)
+        while pos is not None:
+            i = self.order[pos]
+            if thetas is not None:
+                k = self.vague.index(i)
+                tables[i] = (tables[i] >= thetas[:, k, None]).astype(float)
+            pos = self.advance(tables, pos + 1)
         return tables[self.graph.root][:, 0]
 
     def expectation(self, tables, start=0) -> np.ndarray:
@@ -279,7 +290,7 @@ class _Core:
         threshold from position ``start`` on."""
         pos = self.advance(tables, start)
         if pos is None:
-            return self.root(tables)
+            return tables[self.graph.root][:, 0]
         i = self.order[pos]
         row, lo, hi, starts, counts = threshold_regions(tables[i])
         keep = [j for j in tables if j != i and self.last_use.get(j, -1) > pos]
@@ -291,30 +302,10 @@ class _Core:
             out[part] = self.expectation(branch, pos + 1)
         return _fsum_runs((hi - lo) * out, starts, counts)
 
-    def sampled(self, tables, thetas: np.ndarray) -> np.ndarray:
-        """Root values with vague node k thresholded at ``thetas[:, k]``."""
-        pos = self.advance(tables)
-        while pos is not None:
-            i = self.order[pos]
-            k = self.vague.index(i)
-            tables[i] = (tables[i] >= thetas[:, k, None]).astype(float)
-            pos = self.advance(tables, pos + 1)
-        return self.root(tables)
-
-
-def _used_predicates(graph: ScopeGraph, lexicon: VagueLexicon) -> VagueLexicon:
-    used = {
-        n.predicate
-        for i in graph.reachable()
-        if isinstance((n := graph.nodes[i]), Application)
-    }
-    return VagueLexicon({p: lexicon.predicates[p] for p in sorted(used)})
-
 
 def _psi_pass(graph, model, lexicon, generic_empty, vague_only):
     """Root value with every node valued by vague probabilities."""
-    _validate_or_raise(graph, model, lexicon)
-    core = _Core(graph, model, generic_empty)
+    core = _Core(graph, model, lexicon, generic_empty)
     if vague_only:
         for i in core.order:
             node = graph.nodes[i]
@@ -324,12 +315,7 @@ def _psi_pass(graph, model, lexicon, generic_empty, vague_only):
                     f"precise quantifier {name!r} at node {i} is not allowed "
                     f"in the generic fast path; use the exact engine"
                 )
-    used = _used_predicates(graph, lexicon)
-    tables = core.leaves(psi_table(used, model.space)[None], sorted(used.predicates))
-    pos = core.advance(tables)
-    while pos is not None:  # vague nodes keep their values
-        pos = core.advance(tables, pos + 1)
-    return float(core.root(tables)[0])
+    return float(core.values(core.leaves(core.psi[None]))[0])
 
 
 def eval_naive(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
@@ -363,15 +349,14 @@ def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
                generic_empty: float = 1.0) -> EvalResult:
     """Exact evaluation: enumerate precise configurations and integrate
     each vague quantifier's shared threshold over its finite value set."""
-    _validate_or_raise(graph, model, lexicon)
-    core = _Core(graph, model, generic_empty, limits.denom_guard)
+    core = _Core(graph, model, lexicon, generic_empty)
     _check_vague_cap(core, limits)
-    plan = LiftPlan(_used_predicates(graph, lexicon), scheme, model.space)
+    plan = LiftPlan(core.psi, scheme)
     plan.check(limits.config_cap)
     terms = []
     for start in range(0, plan.count, core.chunk):
         bits, weights = plan.enumerate(start, min(start + core.chunk, plan.count))
-        terms.append(weights * core.expectation(core.leaves(bits, plan.names)))
+        terms.append(weights * core.expectation(core.leaves(bits)))
     p = min(max(math.fsum(np.concatenate(terms)), 0.0), 1.0)
     return EvalResult(probability=p, engine=EXACT)
 
@@ -403,18 +388,17 @@ def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _validate_or_raise(graph, model, lexicon)
-    core = _Core(graph, model, generic_empty, limits.denom_guard)
+    core = _Core(graph, model, lexicon, generic_empty)
     _check_vague_cap(core, limits)
-    plan = LiftPlan(_used_predicates(graph, lexicon), scheme, model.space)
+    plan = LiftPlan(core.psi, scheme)
     rng = np.random.default_rng(seed)
     hits = 0
     for start in range(0, samples, core.chunk):
         n = min(core.chunk, samples - start)
         uniforms = rng.random((n, plan.draws + len(core.vague)))
         np.subtract(1.0, uniforms, out=uniforms)
-        tables = core.leaves(plan.sample(uniforms[:, :plan.draws]), plan.names)
-        hits += int(core.sampled(tables, uniforms[:, plan.draws:]).sum())
+        tables = core.leaves(plan.sample(uniforms[:, :plan.draws]))
+        hits += int(core.values(tables, uniforms[:, plan.draws:]).sum())
     p_hat = hits / samples
     return EvalResult(
         probability=p_hat,

@@ -204,12 +204,12 @@ def psi_table(lexicon: VagueLexicon, space: PixieSpace) -> np.ndarray:
 class LiftPlan:
     """Precise configurations of a lift as bit arrays.
 
-    ``psi`` holds the vague values, one row per predicate (``names``,
-    sorted) and one column per pixie.  A batch of configurations is a
-    boolean array of shape (batch, predicates, pixies), produced either
-    by ``enumerate`` (every configuration with its weight, in a fixed
-    order) or by ``sample`` (one configuration per row of uniforms in
-    (0, 1], ``draws`` of them per configuration).
+    ``psi`` holds the vague values, one row per predicate and one column
+    per pixie.  A batch of configurations is a boolean array of shape
+    (batch, predicates, pixies), produced either by ``enumerate`` (every
+    configuration with its weight, in a fixed order) or by ``sample`` (one
+    configuration per row of uniforms in (0, 1], ``draws`` of them per
+    configuration).
 
     Independent: each strictly fractional entry is a coin that holds with
     probability psi (sampled as ``u <= psi``); entries in {0, 1} are
@@ -218,10 +218,9 @@ class LiftPlan:
     takes one threshold region per predicate, weighted by its length.
     """
 
-    def __init__(self, lexicon: VagueLexicon, scheme: LiftScheme, space: PixieSpace):
-        self.names = tuple(sorted(lexicon.predicates))
+    def __init__(self, psi: np.ndarray, scheme: LiftScheme):
         self.scheme = scheme
-        self.psi = psi_table(lexicon, space)
+        self.psi = psi
         if scheme is LiftScheme.INDEPENDENT:
             fractional = (self.psi > 0.0) & (self.psi < 1.0)
             self._entries = np.nonzero(fractional)
@@ -232,7 +231,7 @@ class LiftPlan:
             _, lo, self._hi, self._starts, self._counts = threshold_regions(self.psi)
             self._measure = self._hi - lo
             self.count = math.prod(self._counts.tolist())
-            self.draws = len(self.names)
+            self.draws = len(psi)
         else:
             raise ValueError(f"unknown lifting scheme {scheme!r}")
 
@@ -298,12 +297,13 @@ def lift(
     generating threshold interval; predicates remain independent of one
     another.  Both schemes marginalise back to psi exactly.
     """
-    plan = LiftPlan(lexicon, scheme, space)
+    plan = LiftPlan(psi_table(lexicon, space), scheme)
     plan.check(cap)
     bits, weights = plan.enumerate(0, plan.count)
+    names = sorted(lexicon.predicates)
     configs = tuple(
         (PreciseLexicon({n: dict(zip(space.elements, row))
-                         for n, row in zip(plan.names, table)}), w)
+                         for n, row in zip(names, table)}), w)
         for table, w in zip(bits.tolist(), weights.tolist())
     )
     assert abs(math.fsum(w for _, w in configs) - 1.0) <= MASS_TOL

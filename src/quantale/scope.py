@@ -44,7 +44,7 @@ class Quantifier:
 ScopeNode = Tautology | Application | Conjunction | Quantifier
 
 
-def _children(node: ScopeNode) -> tuple[int, ...]:
+def children(node: ScopeNode) -> tuple[int, ...]:
     if isinstance(node, Conjunction):
         return node.children
     if isinstance(node, Quantifier):
@@ -71,7 +71,7 @@ class ScopeGraph:
             if i in seen:
                 continue
             seen.add(i)
-            stack.extend(_children(self.nodes[i]))
+            stack.extend(children(self.nodes[i]))
         return seen
 
 
@@ -117,7 +117,7 @@ def topological_order(graph: ScopeGraph) -> list[int]:
                 raise CycleDetected("scope graph contains a cycle")
             return
         placed[i] = False
-        for c in _children(graph.nodes[i]):
+        for c in children(graph.nodes[i]):
             if not 0 <= c < len(graph.nodes):
                 raise CycleDetected("scope graph contains a cycle")
             visit(c)
@@ -136,7 +136,7 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
     """
     diagnostics: list[str] = []
     for i, n in enumerate(graph.nodes):
-        for c in _children(n):
+        for c in children(n):
             if not 0 <= c < len(graph.nodes):
                 diagnostics.append(f"node {i} references missing node {c}")
     if not 0 <= graph.root < len(graph.nodes):

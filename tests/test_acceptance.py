@@ -226,12 +226,21 @@ def test_criterion_10_determinism_and_round_trip(capsys):
 
 def test_criterion_11_unused_pixies_do_not_cost(capsys, donkey_graph):
     # donkey_half padded with 200 pixies no joint row uses: the joint
-    # keeps its 8 rows while the dense |P|^3 domain grows to about 8M cells
+    # keeps its 8 rows while the dense |P|^3 domain grows to about 8M cells.
+    # With `entity` = 0.5 on every pad, no row reads a fractional entry, so
+    # the lift has nothing to enumerate (2^200 coins if it lifted them all).
     model, lexicon = load_world("donkey_half.world.json")
+    pads = tuple(f"pad{i}" for i in range(200))
     padded = q.SituationModel(
-        q.PixieSpace(model.space.elements + tuple(f"pad{i}" for i in range(200))),
-        model.variables,
-        model.joint,
+        q.PixieSpace(model.space.elements + pads), model.variables, model.joint,
     )
+    entity = lexicon.predicates["entity"]
+    vague_pads = q.VagueLexicon({
+        **lexicon.predicates,
+        "entity": q.VaguePredicate("entity", {**entity.table, **dict.fromkeys(pads, 0.5)}),
+    })
     with criterion(capsys, 11, "exact cost follows joint rows", 5.0):
         assert q.eval_exact(donkey_graph, padded, lexicon).probability == 0.5
+        for scheme in q.LiftScheme:
+            result = q.eval_exact(donkey_graph, padded, vague_pads, scheme)
+            assert result.probability == 0.5

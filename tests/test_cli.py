@@ -153,6 +153,19 @@ def test_eval_missing_file(capsys, tmp_path):
     )
     assert code == 1
     assert "error" in err
+    # a directory and an undecodable file are unreadable inputs too, for
+    # every command that reads files
+    undecodable = tmp_path / "bad.json"
+    undecodable.write_bytes(b'{"pixies": ["\xff"]}')
+    for bad in (tmp_path, undecodable):
+        for argv in (
+            ("eval", "--world", str(bad), "--prop", str(FIXTURES / "every_red.prop")),
+            ("check", "--world", str(FIXTURES / "red.world.json"), "--prop", str(bad)),
+            ("rsa", "--scenario", str(bad), "--agent", "l0", "--utterance", "u"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_eval_generic_fast_rejects_precise(capsys):

@@ -144,6 +144,15 @@ def test_malformed_json_diagnostics(text, message, line, column):
     assert "\r" not in diag.snippet
 
 
+def test_snippet_lines_break_only_at_newlines():
+    # a form feed inside a string is not a line break for either the
+    # position or the snippet
+    text = '{"pixies": ["a\fb"],\n "variables": 1, "joint": [], "predicates": {}}'
+    (diag,) = diagnostics_of(q.parse_world, text)
+    assert (diag.message, diag.line, diag.column) == ("'variables' must be a array", 2, 15)
+    assert diag.snippet == ' "variables": 1, "joint": [], "predicates": {}}'
+
+
 def test_non_hex_unicode_escape_is_a_diagnostic():
     (diag,) = diagnostics_of(q.parse_world, '{"pixies": [\n  "' + BS + 'uZZZZ"]}')
     assert (diag.message, diag.line, diag.column) == ("bad unicode escape", 2, 5)
@@ -177,6 +186,9 @@ def test_parse_prop_comments_and_whitespace():
     text = "; leading comment\n(some (x) true ; inline\n  (red x))\n"
     graph = q.parse_prop(text)
     assert graph.nodes[graph.root].kind is q.QuantifierKind.SOME
+    # every character that str.isspace() accepts separates tokens
+    for space in ("\f", "\v", "\u00a0"):
+        assert q.parse_prop(text.replace(" ", space)) == graph, repr(space)
 
 
 def test_parse_prop_multi_bound():
@@ -341,22 +353,26 @@ def test_scenario_duplicate_ids_are_one_diagnostic_at_the_document(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "state, utterance, message, line, column",
+    "state, utterance, top, message, line, column",
     [
-        ('"id": 7, "prior": 1.0, "world": "red.world.json"', '"id": "u", "prop": "true"',
+        ('"id": 7, "prior": 1.0, "world": "red.world.json"', '"id": "u", "prop": "true"', "",
          "'id' must be a string", 2, 21),
-        ('"id": "s", "prior": 1.0, "world": 3', '"id": "u", "prop": "true"',
+        ('"id": "s", "prior": 1.0, "world": 3', '"id": "u", "prop": "true"', "",
          "'world' must be a string", 2, 49),
-        ('"id": "s", "prior": 1.0, "world": "red.world.json"', '"id": 7, "prop": "true"',
+        ('"id": "s", "prior": 1.0, "world": "red.world.json"', '"id": 7, "prop": "true"', "",
          "'id' must be a string", 3, 25),
-        ('"id": "s", "prior": 1.0, "world": "red.world.json"', '"id": "u", "prop": 5',
+        ('"id": "s", "prior": 1.0, "world": "red.world.json"', '"id": "u", "prop": 5', "",
          "'prop' must be a string", 3, 38),
+        ('"id": "s", "prior": 1.0, "world": "red.world.json"', '"id": "u", "prop": "true"',
+         ',\n  "engine": [1]', "'engine' must be a string", 4, 13),
+        ('"id": "s", "prior": 1.0, "world": "red.world.json", "scheme": {"a": 1}',
+         '"id": "u", "prop": "true"', "", "'scheme' must be a string", 2, 77),
     ],
-    ids=["state-id", "world", "utterance-id", "prop"],
+    ids=["state-id", "world", "utterance-id", "prop", "engine", "scheme"],
 )
-def test_scenario_ids_worlds_and_props_must_be_strings(tmp_path, state, utterance,
+def test_scenario_ids_worlds_and_props_must_be_strings(tmp_path, state, utterance, top,
                                                        message, line, column):
     (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
-    text = f'{{\n  "states": [{{{state}}}],\n  "utterances": [{{{utterance}}}]\n}}'
+    text = f'{{\n  "states": [{{{state}}}],\n  "utterances": [{{{utterance}}}]{top}\n}}'
     (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
     assert (diag.message, diag.line, diag.column) == (message, line, column)
