@@ -64,11 +64,25 @@ def _load_inputs(args):
     return model, lexicon, graph
 
 
-def _default_seed(args) -> int | None:
-    if args.seed is not None:
-        return args.seed
+def _mc_seed(args) -> int:
+    """The mc engine's seed, from ``--seed`` or else ``QUANTALE_SEED``.
+
+    Raises ValueError when it or ``--samples`` is missing or out of range.
+    """
+    seed = args.seed
     env = os.environ.get("QUANTALE_SEED")
-    return int(env) if env is not None else None
+    if seed is None and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"QUANTALE_SEED must be an integer, got {env!r}") from None
+    if args.samples is None or seed is None:
+        raise ValueError("the mc engine requires --samples and --seed (or QUANTALE_SEED)")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if seed < 0:
+        raise ValueError(f"the seed must be non-negative, got {seed}")
+    return seed
 
 
 def cmd_eval(args) -> int:
@@ -82,14 +96,13 @@ def cmd_eval(args) -> int:
             f"warning: --scheme is ignored by the {args.engine} engine",
             file=sys.stderr,
         )
-    seed = _default_seed(args) if args.engine == "mc" else None
-    if args.engine == "mc" and (args.samples is None or seed is None):
-        print(
-            "error: the mc engine requires --samples and --seed "
-            "(or QUANTALE_SEED)",
-            file=sys.stderr,
-        )
-        return EXIT_EVALUATION
+    seed = None
+    if args.engine == "mc":
+        try:
+            seed = _mc_seed(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_EVALUATION
     try:
         result = _engine.evaluate(
             graph, model, lexicon, args.engine, scheme, limits,

@@ -23,6 +23,9 @@ exactly 1/2.  The batch axis carries whatever one pass is evaluated for:
   enumerates.  At each vague quantifier node a configuration branches
   once per threshold region cut by the values the node attains, weighted
   by the region's length; the branches continue as rows of the batch.
+  Under the independent lift, a graph whose one quantifier is its root
+  and whose applications all read one variable has independent rows; it
+  is summed over count states instead (``_counted``).
 * ``eval_mc`` runs chunks of the configurations the lift plan samples,
   together with one uniform threshold per vague quantifier node, and
   keeps a vague node's value where it is at least the threshold.  It
@@ -42,11 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ExplosionGuard,
-    PreciseQuantifierInFastPath,
-    ValidationFailed,
-)
+from .errors import ExplosionGuard, PreciseQuantifierInFastPath
 from .model import (
     DEFAULT_CONFIG_CAP,
     LiftPlan,
@@ -68,8 +67,7 @@ from .scope import (
     ScopeGraph,
     Tautology,
     free_vars,
-    topological_order,
-    validate,
+    validated_order,
 )
 
 NAIVE = "naive"
@@ -164,12 +162,9 @@ class _Core:
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
                  generic_empty=1.0):
-        diagnostics = validate(graph, model, lexicon)
-        if diagnostics:
-            raise ValidationFailed(diagnostics)
         self.graph = graph
         self.generic_empty = generic_empty
-        self.order = topological_order(graph)
+        self.order = validated_order(graph, model, lexicon)
         memo: dict[int, frozenset[str]] = {}
         free = {i: sorted(free_vars(graph, i, memo)) for i in self.order}
         self.vague = [
@@ -183,6 +178,11 @@ class _Core:
         self.names = sorted({a.predicate for a in applications})
         # Only the variables some application reads tell rows apart.
         applied = {a.variable for a in applications}
+        # One quantifier, at the root, over one variable: each row is a
+        # pixie and reads cells no other row reads (see _counted).
+        self.countable = len(applied) == 1 and [
+            i for i in self.order if isinstance(graph.nodes[i], Quantifier)
+        ] == [graph.root]
         variables = [v for v in model.variables if v in applied]
         joint = model.marginal(variables) if variables else {(): 1.0}
         rows = [(a, m) for a, m in joint.items() if m > 0.0]
@@ -232,13 +232,14 @@ class _Core:
                 tables[i] = np.ones((len(truth), self.width))
         return tables
 
-    def advance(self, tables, start=0):
-        """Fill in the tables of the nodes from position ``start`` on.
+    def advance(self, tables, start=0, stop=None):
+        """Fill in the tables of the nodes from position ``start`` on,
+        up to but excluding position ``stop`` (default: through the root).
 
         Returns the position of the first vague quantifier filled in, for
         the caller to threshold, or None once the root is done.
         """
-        for pos in range(start, len(self.order)):
+        for pos in range(start, len(self.order) if stop is None else stop):
             i = self.order[pos]
             if i in tables:
                 continue
@@ -268,10 +269,15 @@ class _Core:
         den_terms = self.mass * r
         den = group_sums(den_terms)
         num = group_sums(den_terms * b)
+        return self.shape(node.kind, num, den)[:, group]
+
+    def shape(self, kind, num, den):
+        """f_Q of ``num / den``; the empty-restriction value where ``den``
+        is at most the guard."""
         filled = den > DENOM_GUARD
-        values = np.full(den.shape, empty_restriction_value(node.kind, self.generic_empty))
-        values[filled] = shape_values(node.kind, np.minimum(num[filled] / den[filled], 1.0))
-        return values[:, group]
+        values = np.full(den.shape, empty_restriction_value(kind, self.generic_empty))
+        values[filled] = shape_values(kind, np.minimum(num[filled] / den[filled], 1.0))
+        return values
 
     def values(self, tables, thetas: np.ndarray | None = None) -> np.ndarray:
         """Root values per batch row.  Vague node k is thresholded at
@@ -343,22 +349,151 @@ def _check_vague_cap(core, limits):
         )
 
 
-def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
-               scheme: LiftScheme = LiftScheme.INDEPENDENT,
-               limits: EngineLimits = EngineLimits(),
-               generic_empty: float = 1.0) -> EvalResult:
-    """Exact evaluation: enumerate precise configurations and integrate
-    each vague quantifier's shared threshold over its finite value set."""
-    core = _Core(graph, model, lexicon, generic_empty)
-    _check_vague_cap(core, limits)
+def _enumerated(core, scheme, cap):
+    """Root expectation over every configuration the lift plan enumerates."""
     plan = LiftPlan(core.psi, scheme)
-    plan.check(limits.config_cap)
+    plan.check(cap)
     terms = []
     for start in range(0, plan.count, core.chunk):
         bits, weights = plan.enumerate(start, min(start + core.chunk, plan.count))
         terms.append(weights * core.expectation(core.leaves(bits)))
-    p = min(max(math.fsum(np.concatenate(terms)), 0.0), 1.0)
-    return EvalResult(probability=p, engine=EXACT)
+    return math.fsum(np.concatenate(terms))
+
+
+def _expansion(values) -> list[float]:
+    """Non-overlapping floats whose sum is exactly the sum of ``values``
+    (Shewchuk 1997; the partials that ``math.fsum`` keeps)."""
+    partials: list[float] = []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            high = x + y
+            low = y - (high - x)
+            if low:
+                partials[i] = low
+                i += 1
+            x = high
+        partials[i:] = [x]
+    return partials
+
+
+def _count_sums(counts, masses, partials):
+    """Correctly rounded ``sum(partials) + counts[s] @ masses`` per state s.
+
+    Each mass is split into two halves of at most 26 significant bits
+    (Veltkamp), so a half times a count below 2**27 is exact and one
+    correctly rounded sum of the products gives the exact dot product.
+    """
+    big = masses * 134217729.0
+    high = big - (big - masses)
+    n = len(counts)
+    terms = np.concatenate([np.broadcast_to(partials, (n, len(partials))),
+                            counts * high, counts * (masses - high)], axis=1)
+    w = terms.shape[1]
+    return _fsum_runs(terms.ravel(), np.arange(n) * w, np.full(n, w))
+
+
+def _counted(core, cap):
+    """Root expectation under the independent lift for a ``countable`` core.
+
+    Its rows are independent: row j holds restriction and body with
+    probabilities q[j] = (P(r=0), P(r=1, b=0), P(r=1, b=1)), found by
+    evaluating the graph once on every pattern of the predicates with
+    fractional cells, a pattern setting a predicate on every pixie.  A
+    count state says, per distinct mass of the rows with fractional
+    cells, how many of them hold r and how many hold r and b; the other
+    rows hold one outcome each.  A state's sums are the correctly rounded
+    ones that enumeration computes, and a convolution over the rows
+    (Poisson binomial) gives its probability.  A vague root is worth its
+    value f, since E[f >= theta] = f.
+    """
+    root = core.graph.nodes[core.graph.root]
+    psi = core.psi[:, next(iter(core.cells.values()))[1]]  # (predicates, rows)
+    fractional = (psi > 0.0) & (psi < 1.0)
+    cells = fractional.sum(axis=0)
+    varying = np.flatnonzero(fractional.any(axis=1))
+    mass = core.mass.tolist()
+    classes: dict[float, list[int]] = {}
+    for j in np.flatnonzero(cells).tolist():
+        classes.setdefault(mass[j], []).append(j)
+    # A class of u rows holding f fractional cells has at most as many
+    # states as count pairs (u + 1)(u + 2) / 2 and as configurations 2^f;
+    # neither this nor the 2^len(varying) patterns exceeds the enumeration.
+    states = 1
+    for rows in classes.values():
+        u, f = len(rows), int(cells[rows].sum())
+        states *= min((u + 1) * (u + 2) // 2, 2**f)
+    count = max(states, 2 ** len(varying))
+    if count > cap:
+        raise ExplosionGuard(
+            f"independent lift needs {count} count states (cap {cap})",
+            count=count,
+            cap=cap,
+        )
+
+    pattern = (np.arange(2 ** len(varying))[:, None]
+               >> np.arange(len(varying) - 1, -1, -1)) & 1 == 1
+    bits = np.repeat((core.psi == 1.0)[None], len(pattern), axis=0)
+    bits[:, varying] = pattern[:, :, None]
+    tables = core.leaves(bits)
+    core.advance(tables, stop=len(core.order) - 1)
+    r = tables[root.restriction]
+    outcome = r + r * tables[root.body]  # 0, 1 or 2 per pattern and row
+    weight = np.where(pattern[:, :, None], psi[varying], 1.0 - psi[varying]).prod(axis=1)
+    q = np.stack([(weight * (outcome == t)).sum(axis=0) for t in range(3)], axis=1)
+
+    # a row without fractional cells has one outcome, with q = 1
+    fixed = cells == 0
+    den_fixed = _expansion(core.mass[fixed & (q[:, 0] == 0.0)].tolist())
+    num_fixed = _expansion(core.mass[fixed & (q[:, 2] == 1.0)].tolist())
+    dists = []
+    for rows in classes.values():
+        # dist[a, k]: probability that a of the rows hold r and k hold r and b
+        dist = np.zeros((len(rows) + 1, len(rows) + 1))
+        dist[0, 0] = 1.0
+        for q0, q1, q2 in q[rows].tolist():
+            grown = q0 * dist
+            grown[1:] += q1 * dist[:-1]
+            grown[1:, 1:] += q2 * dist[:-1, :-1]
+            dist = grown
+        a, k = np.nonzero(dist)
+        dists.append((a, k, dist[a, k]))
+    masses = np.array(list(classes))
+    total = math.prod(len(p) for _, _, p in dists)
+    step = max(1, CHUNK_CELLS // (2 * len(masses) + len(den_fixed) + len(num_fixed) + 1))
+    terms = []
+    for start in range(0, total, step):
+        state = np.arange(start, min(start + step, total))
+        prob = np.ones(len(state))
+        held = np.empty((len(state), len(dists)))
+        both = np.empty((len(state), len(dists)))
+        for c, (a, k, p) in enumerate(dists):
+            state, pick = np.divmod(state, len(p))
+            prob *= p[pick]
+            held[:, c], both[:, c] = a[pick], k[pick]
+        den = _count_sums(held, masses, den_fixed)
+        num = _count_sums(both, masses, num_fixed)
+        terms.append(prob * core.shape(root.kind, num, den))
+    return math.fsum(np.concatenate(terms))
+
+
+def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
+               scheme: LiftScheme = LiftScheme.INDEPENDENT,
+               limits: EngineLimits = EngineLimits(),
+               generic_empty: float = 1.0) -> EvalResult:
+    """Exact evaluation: the expectation over precise configurations, each
+    vague quantifier's shared threshold integrated over its finite value
+    set.  A ``countable`` graph under the independent lift sums over count
+    states; every other input enumerates configurations."""
+    core = _Core(graph, model, lexicon, generic_empty)
+    _check_vague_cap(core, limits)
+    if scheme is LiftScheme.INDEPENDENT and core.countable:
+        p = _counted(core, limits.config_cap)
+    else:
+        p = _enumerated(core, scheme, limits.config_cap)
+    return EvalResult(probability=min(max(p, 0.0), 1.0), engine=EXACT)
 
 
 def _binomial_ci(p_hat: float, n: int) -> tuple[float, float]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CycleDetected
+from .errors import CycleDetected, ValidationFailed
 from .quant import QuantifierKind, ShapeSpec
 
 
@@ -134,6 +134,16 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
     Reports cycles, open roots, unknown predicates and variables, and
     empty conjunctions.  Diagnostics are returned, never thrown.
     """
+    try:
+        validated_order(graph, model, lexicon)
+    except ValidationFailed as exc:
+        return exc.diagnostics
+    return []
+
+
+def validated_order(graph: ScopeGraph, model, lexicon) -> list[int]:
+    """``topological_order`` of a graph that ``validate`` accepts, from the
+    same walk; raises ValidationFailed with the diagnostics otherwise."""
     diagnostics: list[str] = []
     for i, n in enumerate(graph.nodes):
         for c in children(n):
@@ -142,11 +152,11 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
     if not 0 <= graph.root < len(graph.nodes):
         diagnostics.append(f"root index {graph.root} out of range")
     if diagnostics:
-        return diagnostics
+        raise ValidationFailed(diagnostics)
     try:
         order = topological_order(graph)
     except CycleDetected as exc:
-        return [str(exc)]
+        raise ValidationFailed([str(exc)]) from None
 
     for i in sorted(order):
         n = graph.nodes[i]
@@ -170,4 +180,6 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
     if open_vars:
         listing = ", ".join(sorted(open_vars))
         diagnostics.append(f"root has free variables {{{listing}}}")
-    return diagnostics
+    if diagnostics:
+        raise ValidationFailed(diagnostics)
+    return order

@@ -263,8 +263,10 @@ def _bit_tables(lexicon, space, scheme):
         yield weight, truth
 
 
-def vague_exact_value(graph, model, lexicon, scheme):
-    """Exact probability of the root under the lifted threshold semantics."""
+def vague_exact_value(graph, model, lexicon, scheme, generic_empty=1):
+    """Exact probability of the root under the lifted threshold semantics;
+    a generic quantifier over an empty restriction is ``generic_empty``."""
+    empty = {**ORACLE_EMPTY, "generic": Fraction(generic_empty)}
     space = model.space.elements
     variables = model.variables
     rows = [(dict(zip(variables, a)), Fraction(m)) for a, m in model.joint if m > 0]
@@ -309,7 +311,7 @@ def vague_exact_value(graph, model, lexicon, scheme):
                 den += mass * r
                 num += mass * r * held(n.body, inner, truth, thetas, cache)
             kind = n.kind.value
-            value = Fraction(ORACLE_EMPTY[kind]) if den == 0 else _oracle_shape(kind, num / den)
+            value = Fraction(empty[kind]) if den == 0 else _oracle_shape(kind, num / den)
         cache[key] = value
         return value
 
@@ -442,3 +444,77 @@ def random_dyadic_world(rng, variables):
                 table[px] = v
         predicates[name] = q.VaguePredicate(name, table)
     return model, q.VagueLexicon(predicates)
+
+
+# --- one root quantifier over one variable ------------------------------------
+
+def random_countable_case(rng, kind):
+    """World and graph ``(kind (x) R B)``: every application reads x and no
+    other quantifier is reached, so each pixie's cells are read by one row.
+
+    R is ``true``, an application or a conjunction, B an application or a
+    conjunction, over predicates P, Q and R that the two may share.  The
+    joint may carry an unread variable y, and its x-marginal masses are
+    uniform, dyadic splits (some pixies without mass), two classes m and
+    2m, or all distinct.  Returns (model, lexicon, graph, dyadic), where
+    ``dyadic`` means every mass and psi value is a dyadic rational with
+    few bits, so the engine's sums and products of them are exact.
+    """
+    n_pix = rng.randint(1, 6)
+    pixies = tuple(f"p{i}" for i in range(n_pix))
+    mode = rng.choice(("uniform", "dyadic", "two-class", "distinct"))
+    if mode == "uniform":
+        masses = [1 / n_pix] * n_pix
+    elif mode == "dyadic":
+        masses = [1.0]
+        while len(masses) < n_pix and rng.random() < 0.8:
+            half = masses.pop(rng.randrange(len(masses))) / 2
+            masses += [half, half]
+        masses += [0.0] * (n_pix - len(masses))
+        rng.shuffle(masses)
+    else:
+        weights = [rng.choice((1, 2)) if mode == "two-class" else rng.random() + 0.05
+                   for _ in pixies]
+        masses = [w / sum(weights) for w in weights]
+    values = rng.choice(((0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.1, 0.3, 1 / 3, 0.7, 1.0)))
+    dyadic = values[1] == 0.25 and (mode == "dyadic" or n_pix in (1, 2, 4))
+    if n_pix > 1 and rng.random() < 0.5:
+        variables = ("x", "y")  # y splits each pixie's mass over two rows
+        joint = tuple(((px, py), m / 2) for px, m in zip(pixies, masses)
+                      for py in pixies[:2])
+    else:
+        variables = ("x",)
+        joint = tuple(((px,), m) for px, m in zip(pixies, masses))
+    model = q.SituationModel(q.PixieSpace(pixies), variables, joint)
+    fractional_left = 6  # keeps the oracle's enumeration small
+    predicates = {}
+    for name in PREDICATE_NAMES:
+        table = {}
+        for px in pixies:
+            v = rng.choice(values)
+            if 0.0 < v < 1.0:
+                if not fractional_left:
+                    v = float(v > 0.5)
+                fractional_left -= 0.0 < v < 1.0
+            table[px] = v
+        predicates[name] = q.VaguePredicate(name, table)
+
+    nodes = []
+
+    def add(node):
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def formula(allow_true):
+        roll = rng.random()
+        if allow_true and roll < 0.25:
+            return add(q.Tautology())
+        if roll < 0.6:
+            return add(q.Application(rng.choice(PREDICATE_NAMES), "x"))
+        names = rng.sample(PREDICATE_NAMES, rng.randint(2, 3))
+        return add(q.Conjunction(tuple(add(q.Application(n, "x")) for n in names)))
+
+    restriction = formula(True)
+    body = formula(False)
+    root = add(q.Quantifier(q.QuantifierKind(kind), ("x",), restriction, body))
+    return model, q.VagueLexicon(predicates), q.ScopeGraph(tuple(nodes), root), dyadic

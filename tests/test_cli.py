@@ -100,6 +100,32 @@ def test_eval_mc_requires_samples_and_seed(capsys, monkeypatch):
     assert "--samples" in err and "--seed" in err
 
 
+@pytest.mark.parametrize(
+    "extra, env, message",
+    [
+        (("--samples", "0", "--seed", "1"), None, "--samples must be at least 1, got 0"),
+        (("--samples", "-5", "--seed", "1"), None, "--samples must be at least 1, got -5"),
+        (("--samples", "10", "--seed", "-1"), None, "the seed must be non-negative, got -1"),
+        (("--samples", "10"), "-1", "the seed must be non-negative, got -1"),
+        (("--samples", "10"), "abc", "QUANTALE_SEED must be an integer, got 'abc'"),
+    ],
+)
+def test_eval_mc_rejects_unusable_samples_and_seed(capsys, monkeypatch, extra, env, message):
+    if env is None:
+        monkeypatch.delenv("QUANTALE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QUANTALE_SEED", env)
+    code, out, err = run_cli(
+        capsys,
+        "eval",
+        "--world", str(FIXTURES / "red.world.json"),
+        "--prop", str(FIXTURES / "some_red.prop"),
+        "--engine", "mc",
+        *extra,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_eval_csv_output(capsys):
     code, out, _ = run_cli(
         capsys,

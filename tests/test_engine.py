@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -248,3 +249,46 @@ def test_most_is_strict_at_an_inexact_half():
         assert q.eval_exact(graph, model, lexicon, scheme).probability == 0.0
         assert q.eval_mc(graph, model, lexicon, scheme, samples=50, seed=0).probability == 0.0
     assert q.eval_naive(graph, model, lexicon).probability == 0.0
+
+
+def _all_fractional_world(n_pixies):
+    # uniform mass; every r and b entry strictly between 0 and 1
+    pixies = tuple(f"p{i}" for i in range(n_pixies))
+    model = q.SituationModel(
+        q.PixieSpace(pixies), ("x",), tuple(((px,), 1.0 / n_pixies) for px in pixies)
+    )
+    lexicon = q.VagueLexicon({
+        name: q.VaguePredicate(name, {px: (3 * i + k) % 17 / 17 + 1 / 34
+                                      for i, px in enumerate(pixies)})
+        for k, name in enumerate(("r", "b"))
+    })
+    return model, lexicon
+
+
+def test_counting_path_scales_to_40_pixies():
+    # 80 fractional cells: enumeration would need 2^80 configurations; the
+    # count states (k_r, k_rb) number 41 * 42 / 2 = 861
+    model, lexicon = _all_fractional_world(40)
+    graph = q.parse_prop("(many (x) (r x) (b x))")
+    start = time.perf_counter()
+    exact = q.eval_exact(graph, model, lexicon).probability
+    assert time.perf_counter() - start < 2.0
+    mc = q.eval_mc(graph, model, lexicon, samples=4000, seed=1)
+    z = 5.0  # a miss has probability below 1e-6
+    half = z * math.sqrt(exact * (1 - exact) / 4000)
+    assert abs(mc.probability - exact) <= half
+    with pytest.raises(ExplosionGuard) as caught:
+        q.eval_exact(graph, model, lexicon, limits=q.EngineLimits(config_cap=860))
+    assert (caught.value.count, caught.value.cap) == (861, 860)
+    assert q.eval_exact(graph, model, lexicon,
+                        limits=q.EngineLimits(config_cap=861)).probability == exact
+
+
+def test_nested_quantifiers_still_enumerate():
+    # a graph with a second quantifier keeps enumeration: 11 pixies x 2
+    # fractional cells need 2^22 configurations, over the default cap 2^20
+    model, lexicon = _all_fractional_world(11)
+    graph = q.parse_prop("(some (x) true (many (x) (r x) (b x)))")
+    with pytest.raises(ExplosionGuard) as caught:
+        q.eval_exact(graph, model, lexicon)
+    assert (caught.value.count, caught.value.cap) == (2**22, 2**20)

@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quantale as q
 
 from conftest import quant_over_tautology
 from oracles import (
+    PRECISE_ORACLE_KINDS,
     classical_root,
     random_classical_case,
+    random_countable_case,
     random_dyadic_world,
     random_generic_case,
     random_tree,
@@ -152,6 +155,31 @@ def test_vague_oracle_matches_exact_engine(seed):
                 scheme, q.serialize_prop(graph), got, expected)
 
 
+@pytest.mark.parametrize("generic_empty", [0.0, 1.0])
+@pytest.mark.parametrize("kind", [k.value for k in q.QuantifierKind])
+@given(seeds)
+@settings(max_examples=15, deadline=None)
+def test_counting_path_matches_oracle_and_enumeration(kind, generic_empty, seed):
+    # one root quantifier over one variable takes the counting path under
+    # the independent lift; its probabilities accumulate in another order
+    # than enumeration's, so only exact (dyadic, 0/1-valued) terms give ==
+    from quantale.engine import _Core, _enumerated
+
+    rng = random.Random(seed)
+    model, lexicon, graph, dyadic = random_countable_case(rng, kind)
+    core = _Core(graph, model, lexicon, generic_empty)
+    assert core.countable
+    counted = q.eval_exact(graph, model, lexicon, generic_empty=generic_empty).probability
+    enumerated = min(max(_enumerated(core, q.LiftScheme.INDEPENDENT, 2**20), 0.0), 1.0)
+    expected = float(vague_exact_value(graph, model, lexicon, q.LiftScheme.INDEPENDENT,
+                                       generic_empty))
+    case = (q.serialize_prop(graph), model.joint, lexicon, counted, enumerated, expected)
+    assert math.isclose(counted, expected, rel_tol=0, abs_tol=1e-12), case
+    assert math.isclose(counted, enumerated, rel_tol=0, abs_tol=1e-15), case
+    if dyadic and kind in PRECISE_ORACLE_KINDS:
+        assert counted == enumerated == expected, case
+
+
 def test_vague_oracle_separates_shared_from_duplicated_thresholds():
     # (and #g #g) with one shared generic node keeps its value 0.5, while
     # two textual copies draw independent thresholds: 0.5 * 0.5
@@ -212,6 +240,29 @@ def test_run_sums_are_correctly_rounded(seed):
     starts = np.cumsum(counts) - counts
     got = _fsum_runs(terms, starts, counts)
     expected = [math.fsum(terms[a:a + n].tolist()) for a, n in zip(starts, counts)]
+    assert got.tolist() == expected
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_count_sums_are_correctly_rounded(seed):
+    # a count state's sums: rows without fractional cells through their
+    # exact expansion, plus k copies of each class mass; compared with
+    # math.fsum over every row's mass bit for bit
+    from quantale.engine import _count_sums, _expansion
+
+    rng = random.Random(seed)
+
+    def mass():
+        return rng.choice([1.0 / 3, 1.0 / 7, 0.1, rng.random()]) * 2.0 ** rng.randint(-60, 0)
+
+    fixed = [mass() for _ in range(rng.randint(0, 6))]
+    masses = [mass() for _ in range(rng.randint(0, 4))]
+    counts = [[rng.randint(0, 40) for _ in masses] for _ in range(rng.randint(1, 20))]
+    got = _count_sums(np.array(counts, dtype=float).reshape(len(counts), len(masses)),
+                      np.array(masses), _expansion(fixed))
+    expected = [math.fsum(fixed + [m for m, k in zip(masses, row) for _ in range(k)])
+                for row in counts]
     assert got.tolist() == expected
 
 
