@@ -35,9 +35,10 @@ def main():
     print()
     print(f"{'alpha':>6} {'P(prop000)':>11} {'P(prop050)':>11} {'P(prop100)':>11} "
           f"{'entropy':>8} {'MAP':>8}")
+    matrix = q.MeaningMatrix(scenario)  # meanings do not depend on alpha
     for alpha in args.alphas:
         report = q.reading_selector(
-            dataclasses.replace(scenario, alpha=alpha), "donkey"
+            dataclasses.replace(scenario, alpha=alpha), "donkey", matrix
         )
         p = report.posterior
         print(

@@ -42,6 +42,7 @@ from .quant import (
     threshold_partition,
 )
 from .rsa import (
+    MeaningMatrix,
     ReadingReport,
     RsaScenario,
     RsaState,

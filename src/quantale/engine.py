@@ -14,7 +14,10 @@ lookup a parent makes is such a projection, so nothing else is needed:
 
 Group sums are correctly rounded, so the result does not depend on the
 order of the joint's rows, and a ratio such as 3/6 over masses of 1/7 is
-exactly 1/2.  The batch axis carries whatever one pass is evaluated for:
+exactly 1/2.  ``eval_exact`` and ``eval_mc`` only ever sum 0/1 tables; a
+group whose rows carry one mass m then sums to its count times m, which
+is the correctly rounded sum of that many copies of m.  The batch axis
+carries whatever one pass is evaluated for:
 
 * ``eval_naive`` applies quantifier shapes directly to vague conditional
   probabilities (the formulation that trivialises precise quantifiers
@@ -66,7 +69,6 @@ from .scope import (
     Quantifier,
     ScopeGraph,
     Tautology,
-    free_vars,
     validated_order,
 )
 
@@ -150,6 +152,19 @@ def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
     return out
 
 
+def _runs(key: np.ndarray):
+    """Runs of equal values of ``key`` in a stable sort of it: the sorting
+    order, where each run starts, its length, and each entry's run."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    run = np.empty(len(key), dtype=np.intp)
+    run[order] = np.cumsum(new) - 1
+    return order, starts, np.diff(np.append(starts, len(key))), run
+
+
 class _Core:
     """Everything one evaluation of a graph reads, and the pass over it.
 
@@ -158,21 +173,23 @@ class _Core:
     cell that no positive-mass row reads holds 0, so a lift of ``psi``
     neither enumerates nor samples it.  ``cells`` maps each application
     to its predicate's row of ``psi`` and the pixie each row reads.
+    ``crisp`` says that the caller only passes 0/1 tables (configuration
+    bits, thresholds applied), so one-mass groups may be summed by counts.
     """
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
-                 generic_empty=1.0):
+                 generic_empty=1.0, crisp=False):
         self.graph = graph
         self.generic_empty = generic_empty
-        self.order = validated_order(graph, model, lexicon)
         memo: dict[int, frozenset[str]] = {}
-        free = {i: sorted(free_vars(graph, i, memo)) for i in self.order}
-        self.vague = [
-            i
-            for i in self.order
-            if isinstance(graph.nodes[i], Quantifier)
-            and not is_precise(graph.nodes[i].kind)
-        ]
+        self.order = validated_order(graph, model, lexicon, memo)
+        quantifiers = [i for i in self.order if isinstance(graph.nodes[i], Quantifier)]
+        self.vague = [i for i in quantifiers if not is_precise(graph.nodes[i].kind)]
+        # crisp: every table a quantifier reads holds 0s and 1s, as bits,
+        # built-in precise shapes and thresholded vague nodes do; a custom
+        # precise shape may interpolate or give an empty restriction 1/2.
+        crisp = crisp and all(i in self.vague or isinstance(graph.nodes[i].kind, QuantifierKind)
+                              for i in quantifiers)
         applications = [graph.nodes[i] for i in self.order
                         if isinstance(graph.nodes[i], Application)]
         self.names = sorted({a.predicate for a in applications})
@@ -180,9 +197,7 @@ class _Core:
         applied = {a.variable for a in applications}
         # One quantifier, at the root, over one variable: each row is a
         # pixie and reads cells no other row reads (see _counted).
-        self.countable = len(applied) == 1 and [
-            i for i in self.order if isinstance(graph.nodes[i], Quantifier)
-        ] == [graph.root]
+        self.countable = len(applied) == 1 and quantifiers == [graph.root]
         variables = [v for v in model.variables if v in applied]
         joint = model.marginal(variables) if variables else {(): 1.0}
         rows = [(a, m) for a, m in joint.items() if m > 0.0]
@@ -192,6 +207,9 @@ class _Core:
         column = {v: k for k, v in enumerate(variables)}
         space = model.space.elements
         pixie = {p: k for k, p in enumerate(space)}
+        # codes[j, c]: the pixie that row j assigns to variable c
+        codes = np.array([pixie[p] for a, _ in rows for p in a],
+                         dtype=np.intp).reshape(self.width, len(variables))
         name_row = {n: k for k, n in enumerate(self.names)}
         self.psi = np.zeros((len(self.names), len(space)))
         self.cells: dict[int, tuple[int, np.ndarray]] = {}
@@ -201,24 +219,25 @@ class _Core:
         for pos, i in enumerate(self.order):
             node = graph.nodes[i]
             if isinstance(node, Application):
-                k, c = name_row[node.predicate], column[node.variable]
-                cols = [pixie[a[c]] for a, _ in rows]
-                self.cells[i] = (k, np.array(cols, dtype=np.intp))
-                read = list(set(cols))  # np.unique's first call costs ~1.7 MB of RSS
+                k, cols = name_row[node.predicate], codes[:, column[node.variable]]
+                self.cells[i] = (k, cols)
+                read = np.flatnonzero(np.bincount(cols, minlength=len(space))).tolist()
                 self.psi[k, read] = [lexicon.psi(node.predicate, space[j]) for j in read]
             elif isinstance(node, Conjunction):
                 self.last_use.update(dict.fromkeys(node.children, pos))
             elif isinstance(node, Quantifier):
                 self.last_use.update({node.restriction: pos, node.body: pos})
-                ids: dict[tuple, int] = {}
-                group = np.array(
-                    [ids.setdefault(tuple(a[column[v]] for v in free[i]), len(ids))
-                     for a, _ in rows],
-                    dtype=np.intp,
-                )
-                sizes = np.bincount(group)
-                self.groups[i] = (np.argsort(group, kind="stable"),
-                                  np.cumsum(sizes) - sizes, sizes, group)
+                # rows sharing the node's free variables share a mixed-radix key
+                key = np.zeros(self.width, dtype=np.int64)
+                for v in sorted(memo[i]):
+                    if int(key.max()) >= 2**62 // len(space):  # renumber before overflow
+                        key = _runs(key)[3]
+                    key = key * len(space) + codes[:, column[v]]
+                order, starts, sizes, group = _runs(key)
+                mass = self.mass[order]
+                uniform = crisp and np.array_equal(mass, np.repeat(mass[starts], sizes))
+                self.groups[i] = (order, starts, sizes, group,
+                                  mass[starts] if uniform else None)
 
     def leaves(self, truth: np.ndarray) -> dict[int, np.ndarray]:
         """Tables of every application and tautology node.
@@ -256,20 +275,33 @@ class _Core:
         return None
 
     def _quantify(self, i, r, b):
-        node = self.graph.nodes[i]
-        order, starts, sizes, group = self.groups[i]
+        num, den = self.group_sums(i, r, b)
+        return self.shape(self.graph.nodes[i].kind, num, den)[:, self.groups[i][3]]
+
+    def group_sums(self, i, r, b):
+        """Per batch row and group of quantifier ``i``, the correctly rounded
+        sums of ``mass * r * b`` and ``mass * r``.
+
+        On a crisp core whose groups each carry one mass m, these are the
+        counts of rows holding r and b, and r, times m: fl(k * m) is the
+        correctly rounded sum of k copies of m.  Other groups sum their
+        row terms.
+        """
+        order, starts, sizes, _, mass = self.groups[i]
+        if mass is not None:
+            r = r[:, order]
+            return (np.add.reduceat(r * b[:, order], starts, axis=1) * mass,
+                    np.add.reduceat(r, starts, axis=1) * mass)
         batch = len(r)
         run_starts = (np.arange(batch)[:, None] * self.width + starts).ravel()
         run_sizes = np.tile(sizes, batch)
 
-        def group_sums(terms):
+        def sums(terms):
             flat = terms[:, order].ravel()
             return _fsum_runs(flat, run_starts, run_sizes).reshape(batch, len(sizes))
 
         den_terms = self.mass * r
-        den = group_sums(den_terms)
-        num = group_sums(den_terms * b)
-        return self.shape(node.kind, num, den)[:, group]
+        return sums(den_terms * b), sums(den_terms)
 
     def shape(self, kind, num, den):
         """f_Q of ``num / den``; the empty-restriction value where ``den``
@@ -487,7 +519,7 @@ def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
     vague quantifier's shared threshold integrated over its finite value
     set.  A ``countable`` graph under the independent lift sums over count
     states; every other input enumerates configurations."""
-    core = _Core(graph, model, lexicon, generic_empty)
+    core = _Core(graph, model, lexicon, generic_empty, crisp=True)
     _check_vague_cap(core, limits)
     if scheme is LiftScheme.INDEPENDENT and core.countable:
         p = _counted(core, limits.config_cap)
@@ -523,7 +555,7 @@ def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    core = _Core(graph, model, lexicon, generic_empty)
+    core = _Core(graph, model, lexicon, generic_empty, crisp=True)
     _check_vague_cap(core, limits)
     plan = LiftPlan(core.psi, scheme)
     rng = np.random.default_rng(seed)

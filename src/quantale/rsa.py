@@ -6,6 +6,7 @@ conditioning that rules out falsifying states.  Each agent call evaluates
 the meaning matrix M (utterances x states) at most once per entry and runs
 L0 = rownorm(prior * M), S1 = softmax_u(alpha (log L0 - cost)) and
 L1 = rownorm(prior * S1) over it: S engine calls for L0, U * S for S1 and L1.
+Agent calls given one ``MeaningMatrix`` share its entries.
 """
 
 from __future__ import annotations
@@ -104,12 +105,26 @@ def meaning(scenario: RsaScenario, utterance: RsaUtterance, state: RsaState) -> 
 
 class MeaningMatrix:
     """Meanings M[u][s] of one scenario, each row evaluated on first use, and
-    the agents of the same names over them.  Build one per agent call: it
-    caches nothing beyond its own lifetime."""
+    the agents of the same names over them.  It caches nothing beyond its
+    own lifetime; agent calls that share one matrix, such as an alpha sweep
+    through ``at``, evaluate each meaning once between them."""
 
     def __init__(self, scenario: RsaScenario):
         self.scenario = scenario
         self._rows: dict[str, dict[str, float]] = {}
+
+    def at(self, scenario: RsaScenario) -> MeaningMatrix:
+        """The agents of ``scenario`` over this matrix's meanings, which the
+        two share; ``scenario`` may differ from this one in alpha only."""
+        own = self.scenario
+        if (scenario.states, scenario.utterances, scenario.engine) != (
+            own.states, own.utterances, own.engine
+        ):
+            raise ValueError("a meaning matrix serves only scenarios that differ "
+                             "from its own in alpha")
+        view = MeaningMatrix(scenario)
+        view._rows = self._rows
+        return view
 
     def row(self, u: RsaUtterance) -> dict[str, float]:
         if u.id not in self._rows:
@@ -170,21 +185,29 @@ def meaning_matrix(scenario: RsaScenario) -> dict[str, dict[str, float]]:
     return MeaningMatrix(scenario).as_dict()
 
 
+def _agents(scenario: RsaScenario, matrix: MeaningMatrix | None) -> MeaningMatrix:
+    return MeaningMatrix(scenario) if matrix is None else matrix.at(scenario)
+
+
 def literal_listener(scenario: RsaScenario, utterance_id: str) -> Posterior:
     """Condition the state prior on the utterance being true."""
     return MeaningMatrix(scenario).literal_listener(utterance_id)
 
 
-def pragmatic_speaker(scenario: RsaScenario, state_id: str) -> dict[str, float]:
+def pragmatic_speaker(scenario: RsaScenario, state_id: str,
+                      matrix: MeaningMatrix | None = None) -> dict[str, float]:
     """Utterance choice maximizing literal-listener posterior minus cost:
     a softmax at finite alpha, uniform over the argmax at infinite alpha,
-    excluding utterances with zero literal posterior for the state."""
-    return MeaningMatrix(scenario).pragmatic_speaker(state_id)
+    excluding utterances with zero literal posterior for the state.  Like
+    the agents below, it reads the meanings of ``matrix`` when given one
+    (see ``MeaningMatrix.at``) and evaluates its own otherwise."""
+    return _agents(scenario, matrix).pragmatic_speaker(state_id)
 
 
-def pragmatic_listener(scenario: RsaScenario, utterance_id: str) -> Posterior:
+def pragmatic_listener(scenario: RsaScenario, utterance_id: str,
+                       matrix: MeaningMatrix | None = None) -> Posterior:
     """Invert the pragmatic speaker over the state prior."""
-    return MeaningMatrix(scenario).pragmatic_listener(utterance_id)
+    return _agents(scenario, matrix).pragmatic_listener(utterance_id)
 
 
 def entropy(posterior: Posterior) -> float:
@@ -201,13 +224,15 @@ class ReadingReport:
     map_state: str
 
 
-def reading_selector(scenario: RsaScenario, utterance_id: str) -> ReadingReport:
+def reading_selector(scenario: RsaScenario, utterance_id: str,
+                     matrix: MeaningMatrix | None = None) -> ReadingReport:
     """Pragmatic-listener posterior over (e.g.) feeding-proportion states.
 
     States that make the sentence false get zero mass; which surviving
     proportion dominates depends on the prior and the alternatives,
-    selecting weak versus strong readings.
+    selecting weak versus strong readings.  A sweep over alpha can pass
+    one ``matrix`` to every call, so each meaning is evaluated once.
     """
-    posterior = pragmatic_listener(scenario, utterance_id)
+    posterior = pragmatic_listener(scenario, utterance_id, matrix)
     map_state = max(posterior, key=lambda s: (posterior[s], s))
     return ReadingReport(posterior, entropy(posterior), map_state)

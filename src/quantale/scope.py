@@ -141,9 +141,12 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
     return []
 
 
-def validated_order(graph: ScopeGraph, model, lexicon) -> list[int]:
+def validated_order(graph: ScopeGraph, model, lexicon, memo: dict | None = None) -> list[int]:
     """``topological_order`` of a graph that ``validate`` accepts, from the
-    same walk; raises ValidationFailed with the diagnostics otherwise."""
+    same walk; raises ValidationFailed with the diagnostics otherwise.
+
+    The free variables of every reachable node are left in ``memo``, the
+    ``free_vars`` memo, when one is given."""
     diagnostics: list[str] = []
     for i, n in enumerate(graph.nodes):
         for c in children(n):
@@ -176,7 +179,7 @@ def validated_order(graph: ScopeGraph, model, lexicon) -> list[int]:
             for v in n.bound:
                 if v not in model.variables:
                     diagnostics.append(f"unknown variable {v!r} bound at node {i}")
-    open_vars = free_vars(graph, graph.root)
+    open_vars = free_vars(graph, graph.root, memo)
     if open_vars:
         listing = ", ".join(sorted(open_vars))
         diagnostics.append(f"root has free variables {{{listing}}}")

@@ -177,9 +177,10 @@ def test_criterion_09_rsa_behavior(capsys):
             (FIXTURES / "donkey.scenario.json").read_text(), base_dir=FIXTURES
         )
         previous = math.inf
+        matrix = q.MeaningMatrix(donkey)  # meanings do not depend on alpha
         for alpha in (1.0, 4.0, 32.0):
             report = q.reading_selector(
-                dataclasses.replace(donkey, alpha=alpha), "donkey"
+                dataclasses.replace(donkey, alpha=alpha), "donkey", matrix
             )
             assert report.posterior["prop000"] == 0.0
             assert report.entropy <= previous

@@ -292,3 +292,39 @@ def test_nested_quantifiers_still_enumerate():
     with pytest.raises(ExplosionGuard) as caught:
         q.eval_exact(graph, model, lexicon)
     assert (caught.value.count, caught.value.cap) == (2**22, 2**20)
+
+
+# eval_mc(samples=3000, seed=2026) under (independent, coupled-threshold) on
+# every fixture world x prop that validates, as float hex; every other pair
+# fails validation.  MC streams must not change from one version to the next.
+MC_PINS = {
+    ("dog_barks.world.json", "dog_barks.prop"): ("0x1.9ee402bb0cf88p-1", "0x1.9867c3ece2a53p-1"),
+    ("donkey_half.world.json", "donkey.prop"): ("0x1.0083126e978d5p-1", "0x1.0057619f0fb39p-1"),
+    ("donkey_prop000.world.json", "donkey.prop"): ("0x0.0p+0", "0x0.0p+0"),
+    ("donkey_prop050.world.json", "donkey.prop"): ("0x1.0083126e978d5p-1", "0x1.0057619f0fb39p-1"),
+    ("donkey_prop100.world.json", "donkey.prop"): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("donkey_threequarters.world.json", "donkey.prop"): ("0x1.82e6bdc805762p-1",
+                                                          "0x1.80da740da740ep-1"),
+    ("picture_story.world.json", "picture_story.prop"): ("0x0.0p+0", "0x0.0p+0"),
+    ("prevalence_half.world.json", "generic_carries.prop"): ("0x1.09ba5e353f7cfp-1",
+                                                              "0x1.fc3ece2a53491p-2"),
+    ("prevalence_zero.world.json", "generic_carries.prop"): ("0x0.0p+0", "0x0.0p+0"),
+    ("red.world.json", "every_red.prop"): ("0x1.68f5c28f5c28fp-1", "0x1.68f5c28f5c28fp-1"),
+    ("red.world.json", "some_red.prop"): ("0x1.68f5c28f5c28fp-1", "0x1.68f5c28f5c28fp-1"),
+}
+
+
+def test_mc_fixture_results_are_pinned(fixtures_dir):
+    schemes = (q.LiftScheme.INDEPENDENT, q.LiftScheme.COUPLED_THRESHOLD)
+    for world in sorted(fixtures_dir.glob("*.world.json")):
+        model, lexicon = load_world(world.name)
+        for prop in sorted(fixtures_dir.glob("*.prop")):
+            graph = load_prop(prop.name)
+            pins = MC_PINS.get((world.name, prop.name))
+            for k, scheme in enumerate(schemes):
+                if pins is None:
+                    with pytest.raises(ValidationFailed):
+                        q.eval_mc(graph, model, lexicon, scheme, samples=3000, seed=2026)
+                    continue
+                result = q.eval_mc(graph, model, lexicon, scheme, samples=3000, seed=2026)
+                assert result.probability.hex() == pins[k], (world.name, prop.name, scheme)

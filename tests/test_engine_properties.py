@@ -288,3 +288,84 @@ def test_mc_lands_in_5_sigma_wilson_interval_of_exact(seed):
         lo, hi = _wilson(mc.probability, samples, 5.0)
         assert lo - 1e-12 <= exact <= hi + 1e-12, (
             scheme, q.serialize_prop(graph), exact, mc.probability)
+
+
+def _grouped_case(rng, masses):
+    """A world whose inner quantifier ``(some (y) (P y) (Q x))`` groups
+    its rows by x: one x pixie per group, with the given row masses (a
+    list per group), the rows shuffled so that groups interleave."""
+    width = max(len(masses), max(len(g) for g in masses))
+    pixies = tuple(f"p{i}" for i in range(width))
+    joint = [((pixies[g], pixies[k]), m) for g, group in enumerate(masses)
+             for k, m in enumerate(group)]
+    rng.shuffle(joint)
+    model = q.SituationModel(q.PixieSpace(pixies), ("x", "y"), tuple(joint))
+    lexicon = q.VagueLexicon({n: q.VaguePredicate(n, {}) for n in ("P", "Q")})
+    graph = q.parse_prop("(every (x) true (some (y) (P y) (Q x)))")
+    return model, lexicon, graph, graph.nodes[graph.root].body
+
+
+def _uniform_groups(rng, n_rows):
+    cuts = sorted(rng.sample(range(1, n_rows), rng.randint(0, min(n_rows - 1, 11))))
+    sizes = np.diff([0, *cuts, n_rows]).tolist()
+    return [[1.0 / n_rows] * s for s in sizes]
+
+
+def _dyadic_groups(rng):
+    groups = [[2.0 ** -rng.randint(6, 9)] * rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
+    return groups + [[1.0 - math.fsum(m for g in groups for m in g)]]
+
+
+def _mixed_groups(rng):
+    groups = [[rng.choice((1.0, 2.0, rng.random() + 0.05)) for _ in range(rng.randint(1, 6))]
+              for _ in range(rng.randint(1, 8))]
+    groups[0] += [groups[0][0] + 1.0]  # at least one group holds two masses
+    total = math.fsum(m for g in groups for m in g)
+    return [[m / total for m in g] for g in groups]
+
+
+@pytest.mark.parametrize("masses", ["1/7", "1/192", "dyadic", "mixed"])
+@given(seeds, st.sampled_from([1, 3, 1200]))
+@settings(max_examples=12, deadline=None)
+def test_crisp_count_sums_equal_row_sums_bit_for_bit(masses, seed, batch):
+    # on 0/1 tables a crisp core sums a group of one mass m as (count) * m;
+    # its sums, and the quantifier values from them, must carry the bits of
+    # the correctly rounded row sums that a core without the crisp path takes
+    from quantale.engine import _Core
+
+    rng = random.Random(seed)
+    groups = {"1/7": lambda: _uniform_groups(rng, 7),
+              "1/192": lambda: _uniform_groups(rng, 192),
+              "dyadic": lambda: _dyadic_groups(rng),
+              "mixed": lambda: _mixed_groups(rng)}[masses]()
+    model, lexicon, graph, i = _grouped_case(rng, groups)
+    crisp = _Core(graph, model, lexicon, crisp=True)
+    plain = _Core(graph, model, lexicon)
+    assert (crisp.groups[i][4] is None) == (masses == "mixed")
+    assert plain.groups[i][4] is None
+    np_rng = np.random.default_rng(seed)
+    r = (np_rng.random((batch, crisp.width)) < np_rng.random()).astype(float)
+    b = (np_rng.random((batch, crisp.width)) < np_rng.random()).astype(float)
+    # some groups with an empty restriction in every batch row
+    empty = np.isin(crisp.groups[i][3], np_rng.choice(len(groups), len(groups) // 2))
+    r[:, empty] = 0.0
+    for got, want in zip(crisp.group_sums(i, r, b), plain.group_sums(i, r, b)):
+        assert got.shape == (batch, len(groups))
+        assert got.tobytes() == want.tobytes()
+    assert crisp._quantify(i, r, b).tobytes() == plain._quantify(i, r, b).tobytes()
+
+
+def test_custom_shapes_keep_row_sums():
+    # is_precise holds for this shape of many, which interpolates, so a
+    # parent could read values other than 0 and 1 from it
+    from quantale.engine import _Core
+
+    rng = random.Random(0)
+    model, lexicon, graph, i = _grouped_case(rng, _uniform_groups(rng, 7))
+    node = graph.nodes[i]
+    shape = q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 0.0, 1.0),))
+    nodes = graph.nodes[:i] + (q.Quantifier(shape, node.bound, node.restriction, node.body),)
+    core = _Core(q.ScopeGraph(nodes + graph.nodes[i + 1:], graph.root), model, lexicon,
+                 crisp=True)
+    assert [g[4] for g in core.groups.values()] == [None, None]
+    assert _Core(graph, model, lexicon, crisp=True).groups[i][4] is not None

@@ -248,3 +248,33 @@ def test_cli_verbose_reuses_the_agents_matrix(monkeypatch, capsys, fixtures_dir,
         assert code == 0
         assert len(calls) == len(set(calls)) == len(scenario.utterances) * len(scenario.states)
         assert set(json.loads(out)["meanings"]) == {u.id for u in scenario.utterances}
+
+
+def test_alpha_sweep_over_one_matrix_evaluates_each_meaning_once(monkeypatch, fixtures_dir):
+    scenario = load_scenario(fixtures_dir, "donkey.scenario.json")
+    alphas = (1.0, 4.0, 32.0)
+    fresh = [q.reading_selector(dataclasses.replace(scenario, alpha=a), "donkey")
+             for a in alphas]
+    calls = count_meanings(monkeypatch)
+    matrix = q.MeaningMatrix(scenario)
+    shared = [q.reading_selector(dataclasses.replace(scenario, alpha=a), "donkey", matrix)
+              for a in alphas]
+    # 2 utterances x 3 states, where a matrix per call made 18 calls
+    assert len(calls) == len(set(calls)) == 6
+    assert shared == fresh
+    calls.clear()
+    speaker = q.pragmatic_speaker(dataclasses.replace(scenario, alpha=2.0), "prop050", matrix)
+    listener = q.pragmatic_listener(scenario, "donkey", matrix)
+    assert calls == []
+    assert speaker == pragmatic_speaker(dataclasses.replace(scenario, alpha=2.0), "prop050")
+    assert listener == q.pragmatic_listener(scenario, "donkey")
+
+
+def test_matrix_serves_only_scenarios_that_differ_in_alpha(fixtures_dir):
+    scenario = load_scenario(fixtures_dir, "donkey.scenario.json")
+    matrix = q.MeaningMatrix(scenario)
+    for other in (dataclasses.replace(scenario, engine="naive"),
+                  dataclasses.replace(scenario, utterances=scenario.utterances[:1]),
+                  load_scenario(fixtures_dir, "prevalence.scenario.json")):
+        with pytest.raises(ValueError, match="differ from its own in alpha"):
+            q.reading_selector(other, "donkey", matrix)
