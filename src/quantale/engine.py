@@ -152,19 +152,6 @@ def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
     return out
 
 
-def _runs(key: np.ndarray):
-    """Runs of equal values of ``key`` in a stable sort of it: the sorting
-    order, where each run starts, its length, and each entry's run."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new)
-    run = np.empty(len(key), dtype=np.intp)
-    run[order] = np.cumsum(new) - 1
-    return order, starts, np.diff(np.append(starts, len(key))), run
-
-
 class _Core:
     """Everything one evaluation of a graph reads, and the pass over it.
 
@@ -186,9 +173,10 @@ class _Core:
         quantifiers = [i for i in self.order if isinstance(graph.nodes[i], Quantifier)]
         self.vague = [i for i in quantifiers if not is_precise(graph.nodes[i].kind)]
         # crisp: every table a quantifier reads holds 0s and 1s, as bits,
-        # built-in precise shapes and thresholded vague nodes do; a custom
-        # precise shape may interpolate or give an empty restriction 1/2.
-        crisp = crisp and all(i in self.vague or isinstance(graph.nodes[i].kind, QuantifierKind)
+        # precise shapes and thresholded vague nodes do, unless a custom
+        # precise shape gives an empty restriction some other value.
+        crisp = crisp and all(i in self.vague or
+                              empty_restriction_value(graph.nodes[i].kind) in (0.0, 1.0)
                               for i in quantifiers)
         applications = [graph.nodes[i] for i in self.order
                         if isinstance(graph.nodes[i], Application)]
@@ -198,20 +186,15 @@ class _Core:
         # One quantifier, at the root, over one variable: each row is a
         # pixie and reads cells no other row reads (see _counted).
         self.countable = len(applied) == 1 and quantifiers == [graph.root]
-        variables = [v for v in model.variables if v in applied]
-        joint = model.marginal(variables) if variables else {(): 1.0}
-        rows = [(a, m) for a, m in joint.items() if m > 0.0]
-        self.mass = np.array([m for _, m in rows])
-        self.width = len(rows)
+        variables = tuple(v for v in model.variables if v in applied)
+        # codes[j, c]: the pixie that row j assigns to variable c
+        codes, self.mass = model.rows(variables)
+        self.width = len(self.mass)
         self.chunk = max(1, CHUNK_CELLS // self.width)  # batch rows per chunk
         column = {v: k for k, v in enumerate(variables)}
         space = model.space.elements
-        pixie = {p: k for k, p in enumerate(space)}
-        # codes[j, c]: the pixie that row j assigns to variable c
-        codes = np.array([pixie[p] for a, _ in rows for p in a],
-                         dtype=np.intp).reshape(self.width, len(variables))
         name_row = {n: k for k, n in enumerate(self.names)}
-        self.psi = np.zeros((len(self.names), len(space)))
+        read = np.zeros((len(self.names), len(space)), dtype=bool)
         self.cells: dict[int, tuple[int, np.ndarray]] = {}
         # position of the last node that reads each node's table
         self.last_use = {self.graph.root: len(self.order)}
@@ -221,23 +204,19 @@ class _Core:
             if isinstance(node, Application):
                 k, cols = name_row[node.predicate], codes[:, column[node.variable]]
                 self.cells[i] = (k, cols)
-                read = np.flatnonzero(np.bincount(cols, minlength=len(space))).tolist()
-                self.psi[k, read] = [lexicon.psi(node.predicate, space[j]) for j in read]
+                read[k, cols] = True
             elif isinstance(node, Conjunction):
                 self.last_use.update(dict.fromkeys(node.children, pos))
             elif isinstance(node, Quantifier):
                 self.last_use.update({node.restriction: pos, node.body: pos})
-                # rows sharing the node's free variables share a mixed-radix key
-                key = np.zeros(self.width, dtype=np.int64)
-                for v in sorted(memo[i]):
-                    if int(key.max()) >= 2**62 // len(space):  # renumber before overflow
-                        key = _runs(key)[3]
-                    key = key * len(space) + codes[:, column[v]]
-                order, starts, sizes, group = _runs(key)
-                mass = self.mass[order]
-                uniform = crisp and np.array_equal(mass, np.repeat(mass[starts], sizes))
-                self.groups[i] = (order, starts, sizes, group,
-                                  mass[starts] if uniform else None)
+                # (order, starts, sizes, group, one mass per group or None)
+                *runs, mass = model.groups(variables, sorted(memo[i]))
+                self.groups[i] = (*runs, mass if crisp else None)
+        self.psi = np.zeros(read.shape)
+        for k, name in enumerate(self.names):
+            pixies = np.flatnonzero(read[k]).tolist()
+            psi = lexicon.predicates[name].table.get
+            self.psi[k, pixies] = [psi(space[j], 0.0) for j in pixies]
 
     def leaves(self, truth: np.ndarray) -> dict[int, np.ndarray]:
         """Tables of every application and tautology node.
@@ -559,13 +538,13 @@ def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
     _check_vague_cap(core, limits)
     plan = LiftPlan(core.psi, scheme)
     rng = np.random.default_rng(seed)
-    hits = 0
+    hits = 0.0
     for start in range(0, samples, core.chunk):
         n = min(core.chunk, samples - start)
         uniforms = rng.random((n, plan.draws + len(core.vague)))
         np.subtract(1.0, uniforms, out=uniforms)
         tables = core.leaves(plan.sample(uniforms[:, :plan.draws]))
-        hits += int(core.values(tables, uniforms[:, plan.draws:]).sum())
+        hits += float(core.values(tables, uniforms[:, plan.draws:]).sum())
     p_hat = hits / samples
     return EvalResult(
         probability=p_hat,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +46,49 @@ class PixieSpace:
         return hash(frozenset(self.elements))
 
 
+def _runs(key: np.ndarray):
+    """Runs of equal values of ``key`` in a stable sort of it: the sorting
+    order, where each run starts, its length, and each entry's run."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    run = np.empty(len(key), dtype=np.intp)
+    run[order] = np.cumsum(new) - 1
+    return order, starts, np.diff(np.append(starts, len(key))), run
+
+
+def _mixed_radix(codes: np.ndarray, radix: int) -> np.ndarray:
+    """One integer per row of ``codes``, ordered as the rows are
+    lexicographically: the row's codes as digits in base ``radix``, the
+    key renumbered by rank before a digit could overflow it."""
+    key = np.zeros(len(codes), dtype=np.int64)
+    for column in codes.T:
+        if int(key.max(initial=0)) >= 2**62 // radix:
+            key = _runs(key)[3]
+        key = key * radix + column
+    return key
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class SituationModel:
     """Joint distribution over named pixie-valued variables.
 
     ``joint`` pairs full assignments (tuples aligned with ``variables``)
-    with probability mass.  Mass must be non-negative and total 1 within
-    1e-9; assignments must be total and unique.
+    with probability mass.  Mass must be finite, non-negative and total 1
+    within 1e-9; assignments must be total and unique.
+
+    The joint's arrays, its rows over a tuple of variables and their
+    groups are built on first use and kept on the instance: every field
+    is a tuple, so nothing they are derived from can change.  They do not
+    take part in equality, hashing or ``repr``.
     """
 
     space: PixieSpace
@@ -72,6 +109,8 @@ class SituationModel:
             if assignment in seen:
                 raise ValueError(f"duplicate assignment {assignment}")
             seen.add(assignment)
+            if not math.isfinite(mass):
+                raise ValueError(f"probability {mass} of {assignment} is not finite")
             if mass < 0:
                 raise ValueError("probabilities must be non-negative")
             total += mass
@@ -94,23 +133,83 @@ class SituationModel:
         )
         return (vars_sorted, tuple(entries))
 
-    def marginal(self, vars) -> dict[tuple[str, ...], float]:
-        """Sum joint mass over the eliminated variables.
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``codes[j, c]``, the index in ``space.elements`` of the pixie
+        that joint row j assigns to variable c, and ``mass[j]``."""
+        index = {p: k for k, p in enumerate(self.space.elements)}
+        codes = np.array([index[p] for a, _ in self.joint for p in a], dtype=np.intp)
+        mass = np.array([m for _, m in self.joint], dtype=float)
+        return _read_only(codes.reshape(len(self.joint), len(self.variables)), mass)
 
-        The result is keyed by tuples in the order given by ``vars``.
-        """
-        vars = tuple(vars)
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _project(self, vars: tuple[str, ...]):
+        """Codes and masses of the joint's distinct projections onto
+        ``vars``, in order of first occurrence.  Each mass is summed in
+        joint order (``np.add.at`` adds one index at a time), as a loop
+        over the joint would."""
         if not vars:
             raise ValueError("marginal requires at least one variable")
         for v in vars:
             if v not in self.variables:
                 raise UnknownVariable(f"unknown variable {v!r}")
-        idx = [self.variables.index(v) for v in vars]
-        out: dict[tuple[str, ...], float] = {}
-        for assignment, mass in self.joint:
-            key = tuple(assignment[i] for i in idx)
-            out[key] = out.get(key, 0.0) + mass
-        return out
+        codes, mass = self._arrays
+        codes = codes[:, [self.variables.index(v) for v in vars]]
+        order, starts, _, run = _runs(_mixed_radix(codes, len(self.space.elements)))
+        first = order[starts]  # each projection's first joint row
+        # stable sorts, as in _runs: a first default-kind sort maps 0.25 MB more
+        rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+        sums = np.zeros(len(first))
+        np.add.at(sums, rank[run], mass)
+        return codes[np.sort(first, kind="stable")], sums
+
+    def marginal(self, vars) -> dict[tuple[str, ...], float]:
+        """Sum joint mass over the eliminated variables.
+
+        The result is keyed by tuples in the order given by ``vars``, in
+        order of first occurrence in the joint, zero masses included.
+        """
+        codes, mass = self._project(tuple(vars))
+        names = self.space.elements
+        return {tuple(names[c] for c in row): m
+                for row, m in zip(codes.tolist(), mass.tolist())}
+
+    def rows(self, vars) -> tuple[np.ndarray, np.ndarray]:
+        """The positive-mass rows of ``marginal(vars)`` as read-only arrays:
+        pixie codes (rows x ``vars``, indices into ``space.elements``) and
+        masses.  With no variables there is one row, of mass 1."""
+        vars = tuple(vars)
+        found = self._memo.get(("rows", vars))
+        if found is None:
+            if vars:
+                codes, mass = self._project(vars)
+                keep = mass > 0.0
+                found = _read_only(codes[keep], mass[keep])
+            else:
+                found = _read_only(np.zeros((1, 0), dtype=np.intp), np.ones(1))
+            self._memo["rows", vars] = found
+        return found
+
+    def groups(self, vars, by) -> tuple:
+        """The rows of ``rows(vars)`` grouped by the variables ``by``, in
+        the order given, as runs of a stable sort of their mixed-radix
+        keys: the sorting order, each run's start and length, each row's
+        run, and each run's one mass (None if some run holds several)."""
+        vars, by = tuple(vars), tuple(by)
+        found = self._memo.get(("groups", vars, by))
+        if found is None:
+            codes, mass = self.rows(vars)
+            columns = codes[:, [vars.index(v) for v in by]]
+            order, starts, sizes, run = _runs(_mixed_radix(columns, len(self.space.elements)))
+            ordered = mass[order]
+            head = ordered[starts]  # each run's first mass
+            one = np.array_equal(ordered, np.repeat(head, sizes))
+            found = (*_read_only(order, starts, sizes, run), _read_only(head)[0] if one else None)
+            self._memo["groups", vars, by] = found
+        return found
 
 
 @dataclass(frozen=True)

@@ -103,12 +103,11 @@ BUILTIN_SHAPES: dict[QuantifierKind, ShapeSpec] = {
 
 
 def is_precise(kind) -> bool:
-    """True for kinds whose shape is valued in {0, 1}."""
+    """True for kinds whose shape is a step function valued in {0, 1}:
+    every segment is constant and every value is 0 or 1."""
     if isinstance(kind, ShapeSpec):
-        vals = {v for _, v in kind.points} | {
-            v for seg in kind.segments for v in seg[2:]
-        }
-        return vals <= {0.0, 1.0}
+        return (all(vlo == vhi for _, _, vlo, vhi in kind.segments)
+                and {v for _, v in kind.points} | {v for *_, v in kind.segments} <= {0.0, 1.0})
     return kind in PRECISE_KINDS
 
 

@@ -60,6 +60,32 @@ def test_generic_fast_rejects_precise_kinds():
         q.eval_generic_fast(quant_over_tautology("every"), model, lexicon)
 
 
+def test_many_shaped_spec_evaluates_as_many():
+    # a custom spec with many's shape is vague: generic-fast accepts it,
+    # and exact and mc threshold it, so every engine gives many's values
+    pixies = ("a", "b", "c", "d")
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",), tuple(((p,), 0.25) for p in pixies))
+    lexicon = q.VagueLexicon({
+        "r": q.VaguePredicate("r", dict(zip(pixies, (0.25, 0.5, 1.0, 0.75)))),
+        "b": q.VaguePredicate("b", dict(zip(pixies, (0.5, 0.125, 0.875, 1.0)))),
+    })
+    spec = q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 0.0, 1.0),))
+    for outer in ("generic", "most"):
+        many = q.parse_prop(f"({outer} (x) true (many (x) (r x) (b x)))")
+        i = many.nodes[many.root].body
+        nodes = list(many.nodes)
+        nodes[i] = q.Quantifier(spec, nodes[i].bound, nodes[i].restriction, nodes[i].body)
+        custom = q.ScopeGraph(tuple(nodes), many.root)
+        runs = [lambda g: q.eval_generic_fast(g, model, lexicon)] if outer == "generic" else []
+        for scheme in q.LiftScheme:
+            runs += [lambda g, s=scheme: q.eval_exact(g, model, lexicon, s),
+                     lambda g, s=scheme: q.eval_mc(g, model, lexicon, s, samples=2000, seed=7)]
+        for run in runs:
+            want = run(many).probability
+            assert 0.0 < want < 1.0
+            assert run(custom).probability.hex() == want.hex(), (outer, run)
+
+
 def test_engines_raise_on_invalid_graph():
     model, lexicon = red_world(0.5)
     open_graph = q.ScopeGraph((q.Application("red", "x"),), root=0)
@@ -327,4 +353,39 @@ def test_mc_fixture_results_are_pinned(fixtures_dir):
                         q.eval_mc(graph, model, lexicon, scheme, samples=3000, seed=2026)
                     continue
                 result = q.eval_mc(graph, model, lexicon, scheme, samples=3000, seed=2026)
+                assert result.probability.hex() == pins[k], (world.name, prop.name, scheme)
+
+
+# eval_exact under (independent, coupled-threshold) on every fixture world x
+# prop that validates, as float hex; every other pair fails validation.
+EXACT_PINS = {
+    ("dog_barks.world.json", "dog_barks.prop"): ("0x1.999999999999ap-1", "0x1.999999999999ap-1"),
+    ("donkey_half.world.json", "donkey.prop"): ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ("donkey_prop000.world.json", "donkey.prop"): ("0x0.0p+0", "0x0.0p+0"),
+    ("donkey_prop050.world.json", "donkey.prop"): ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ("donkey_prop100.world.json", "donkey.prop"): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("donkey_threequarters.world.json", "donkey.prop"): ("0x1.8000000000000p-1",
+                                                          "0x1.8000000000000p-1"),
+    ("picture_story.world.json", "picture_story.prop"): ("0x0.0p+0", "0x0.0p+0"),
+    ("prevalence_half.world.json", "generic_carries.prop"): ("0x1.0000000000000p-1",
+                                                              "0x1.0000000000000p-1"),
+    ("prevalence_zero.world.json", "generic_carries.prop"): ("0x0.0p+0", "0x0.0p+0"),
+    ("red.world.json", "every_red.prop"): ("0x1.6666666666666p-1", "0x1.6666666666666p-1"),
+    ("red.world.json", "some_red.prop"): ("0x1.6666666666666p-1", "0x1.6666666666666p-1"),
+}
+
+
+def test_exact_fixture_results_are_pinned(fixtures_dir):
+    schemes = (q.LiftScheme.INDEPENDENT, q.LiftScheme.COUPLED_THRESHOLD)
+    for world in sorted(fixtures_dir.glob("*.world.json")):
+        model, lexicon = load_world(world.name)
+        for prop in sorted(fixtures_dir.glob("*.prop")):
+            graph = load_prop(prop.name)
+            pins = EXACT_PINS.get((world.name, prop.name))
+            for k, scheme in enumerate(schemes):
+                if pins is None:
+                    with pytest.raises(ValidationFailed):
+                        q.eval_exact(graph, model, lexicon, scheme)
+                    continue
+                result = q.eval_exact(graph, model, lexicon, scheme)
                 assert result.probability.hex() == pins[k], (world.name, prop.name, scheme)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -356,16 +357,103 @@ def test_crisp_count_sums_equal_row_sums_bit_for_bit(masses, seed, batch):
 
 
 def test_custom_shapes_keep_row_sums():
-    # is_precise holds for this shape of many, which interpolates, so a
+    # this precise shape of some gives an empty restriction 1/2, so a
     # parent could read values other than 0 and 1 from it
     from quantale.engine import _Core
 
     rng = random.Random(0)
     model, lexicon, graph, i = _grouped_case(rng, _uniform_groups(rng, 7))
     node = graph.nodes[i]
-    shape = q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 0.0, 1.0),))
+    shape = q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 1.0, 1.0),), 0.5)
     nodes = graph.nodes[:i] + (q.Quantifier(shape, node.bound, node.restriction, node.body),)
     core = _Core(q.ScopeGraph(nodes + graph.nodes[i + 1:], graph.root), model, lexicon,
                  crisp=True)
     assert [g[4] for g in core.groups.values()] == [None, None]
     assert _Core(graph, model, lexicon, crisp=True).groups[i][4] is not None
+
+
+def _mixed_joint(rng, space, variables):
+    """A joint over a random subset of the cells, with zero masses and
+    masses whose sums round, shuffled so that projections merge rows
+    that lie apart."""
+    cells = list(itertools.product(space.elements, repeat=len(variables)))
+    rng.shuffle(cells)
+    cells = cells[:rng.randint(1, len(cells))]
+    weights = [rng.choice((0.0, 1.0, 3.0, rng.random())) for _ in cells]
+    weights[0] = weights[0] or 1.0
+    total = sum(weights)
+    return q.SituationModel(space, variables, tuple((c, w / total) for c, w in zip(cells, weights)))
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_rows_are_the_positive_mass_marginal(seed):
+    rng = random.Random(seed)
+    space = q.PixieSpace(tuple(f"p{i}" for i in range(rng.randint(1, 4))))
+    model = _mixed_joint(rng, space, tuple(rng.sample(("w", "x", "y", "z"), rng.randint(1, 3))))
+    names = space.elements
+    for size in range(1, len(model.variables) + 1):
+        for vars in itertools.permutations(model.variables, size):
+            # the marginal is the dict a loop over the joint builds, keys in
+            # order of first occurrence, masses summed in joint order
+            loop = {}
+            for assignment, mass in model.joint:
+                key = tuple(assignment[model.variables.index(v)] for v in vars)
+                loop[key] = loop.get(key, 0.0) + mass
+            marginal = [(k, m.hex()) for k, m in model.marginal(vars).items()]
+            assert marginal == [(k, m.hex()) for k, m in loop.items()]
+            codes, mass = model.rows(vars)
+            assert not codes.flags.writeable and not mass.flags.writeable
+            rows = [(tuple(names[c] for c in row), m.hex())
+                    for row, m in zip(codes.tolist(), mass.tolist())]
+            assert rows == [(k, m) for k, m in marginal if float.fromhex(m) > 0.0]
+            assert model.rows(vars)[0] is codes
+
+
+def test_mixed_radix_keys_order_rows_lexicographically():
+    # a radix of 2**40 renumbers the key before each further digit
+    from quantale.model import _mixed_radix
+
+    rng = np.random.default_rng(0)
+    for radix in (3, 2**40):
+        codes = rng.integers(0, 3, size=(300, 3)) * (radix // 3)
+        key = _mixed_radix(codes, radix)
+        rows = [tuple(r) for r in codes.tolist()]
+        assert [rows[i] for i in np.argsort(key, kind="stable")] == sorted(rows)
+        assert len(set(key.tolist())) == len(set(rows))
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_memoised_model_evaluates_as_a_fresh_one(seed):
+    # one model evaluated under graphs that read different variable sets,
+    # in several orders, gives the bits of a freshly built equal model
+    rng = random.Random(seed)
+    variables = ("x", "y", "z")[:rng.randint(1, 3)]
+    base, lexicon = random_dyadic_world(rng, variables)
+    model = _mixed_joint(rng, base.space, variables)
+    graphs = [q.parse_prop(f"(some ({v}) (P {v}) (Q {v}))") for v in variables]
+    graphs += [random_vague_dag(rng, variables)[0] for _ in range(3)]
+
+    def results(m, graph):
+        out = []
+        for run in (lambda: q.eval_naive(graph, m, lexicon),
+                    lambda: q.eval_generic_fast(graph, m, lexicon),
+                    *(lambda s=s: q.eval_exact(graph, m, lexicon, s) for s in q.LiftScheme),
+                    *(lambda s=s: q.eval_mc(graph, m, lexicon, s, samples=300, seed=seed)
+                      for s in q.LiftScheme)):
+            try:
+                out.append(run().probability.hex())
+            except Exception as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    def fresh():
+        return q.SituationModel(model.space, model.variables, model.joint)
+
+    want = [results(fresh(), g) for g in graphs]
+    for order in (range(len(graphs)), reversed(range(len(graphs))),
+                  rng.sample(range(len(graphs)), len(graphs))):
+        for k in order:
+            assert results(model, graphs[k]) == want[k]
+    assert (model == fresh(), hash(model), repr(model)) == (True, hash(fresh()), repr(fresh()))

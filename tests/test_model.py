@@ -39,6 +39,15 @@ def test_model_validates_mass():
         q.SituationModel(space, ("x",), ((("a",), -1.0), (("a",), 2.0)))
 
 
+def test_model_rejects_non_finite_mass():
+    # NaN passes both the sign check and the total check (every comparison
+    # with it is false); an engine would then drop its row silently
+    space = q.PixieSpace(("a", "b", "c"))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            q.SituationModel(space, ("x",), ((("a",), bad), (("b",), 0.5), (("c",), 0.5)))
+
+
 def test_model_rejects_duplicate_assignments():
     space = q.PixieSpace(("a",))
     with pytest.raises(ValueError):

@@ -49,6 +49,16 @@ def test_kind_partition():
         assert not is_precise(kind)
 
 
+def test_custom_shape_is_precise_only_as_a_0_1_step():
+    # a built-in shape passed as a custom spec keeps its class: many's
+    # segment interpolates from 0 to 1, so it is vague although every
+    # point and segment end is 0 or 1
+    for kind, spec in BUILTIN_SHAPES.items():
+        assert is_precise(spec) == (kind in PRECISE_KINDS)
+    assert is_precise(q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 1.0, 1.0),)))
+    assert not is_precise(q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 0.0, 1.0),)))
+
+
 def test_empty_restriction_conventions():
     K = q.QuantifierKind
     assert q.empty_restriction_value(K.EVERY) == 1.0
