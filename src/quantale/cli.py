@@ -16,15 +16,7 @@ from pathlib import Path
 from . import engine as _engine
 from . import rsa as _rsa
 from .dsl import parse_prop, parse_scenario, parse_world
-from .errors import (
-    AllFalse,
-    DslParseError,
-    ExplosionGuard,
-    NoViableUtterance,
-    PreciseQuantifierInFastPath,
-    QuantaleError,
-    ValidationFailed,
-)
+from .errors import DslParseError, QuantaleError, ValidationFailed
 from .model import LiftScheme
 from .quant import QuantifierKind, shape_value
 from .scope import validate
@@ -90,8 +82,8 @@ def cmd_eval(args) -> int:
     limits = _engine.EngineLimits(
         config_cap=args.cap_configs, vague_node_cap=args.cap_vague_nodes
     )
-    scheme = LiftScheme(args.scheme)
-    if args.engine in ("naive", "generic-fast") and args.scheme_given:
+    scheme = LiftScheme(args.scheme or LiftScheme.INDEPENDENT.value)
+    if args.engine in ("naive", "generic-fast") and args.scheme is not None:
         print(
             f"warning: --scheme is ignored by the {args.engine} engine",
             file=sys.stderr,
@@ -113,9 +105,6 @@ def cmd_eval(args) -> int:
             print(f"error: {d}", file=sys.stderr)
         _emit({"diagnostics": _diag_json(exc.diagnostics)})
         return EXIT_DIAGNOSTICS
-    except (ExplosionGuard, PreciseQuantifierInFastPath) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
 
     document = {"probability": result.probability, "engine": result.engine}
     if result.engine in ("exact", "mc"):
@@ -166,9 +155,6 @@ def cmd_rsa(args) -> int:
         return EXIT_EVALUATION
     try:
         dist = agent(target)
-    except (AllFalse, NoViableUtterance) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
@@ -242,10 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "scheme"):
-        args.scheme_given = args.scheme is not None
-        if args.scheme is None:
-            args.scheme = "independent"
     try:
         return args.func(args)
     except (OSError, UnicodeDecodeError) as exc:

@@ -667,6 +667,9 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
                 if not isinstance(c_jv.value, float) or c_jv.value < 0:
                     diags.error("cost must be a non-negative number", c_jv.line, c_jv.column)
                     continue
+                if not math.isfinite(c_jv.value):
+                    diags.error("cost must be finite", c_jv.line, c_jv.column)
+                    continue
                 cost = c_jv.value
             p_jv = u_jv.value["prop"]
             source, origin = _load_prop_source(p_jv.value, base_dir, diags, p_jv.line, p_jv.column)

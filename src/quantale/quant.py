@@ -6,8 +6,9 @@ most) are step functions valued in {0, 1}; vague quantifiers (many, few,
 generic) take intermediate values.  Drawing a single uniform threshold in
 (0, 1] and testing ``f_Q(ratio) >= theta`` turns a vague value into a
 distribution over precise quantifier functions whose marginal is f_Q
-itself; ``threshold_partition`` provides the exact integration over that
-threshold.
+itself; ``threshold_regions`` gives the regions over which the engine
+integrates that threshold exactly (``threshold_partition`` for one list of
+values).
 """
 
 from __future__ import annotations

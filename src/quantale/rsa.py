@@ -69,6 +69,9 @@ class RsaScenario:
         total = math.fsum(s.prior for s in self.states)
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"state priors sum to {total:.12g} ≠ 1")
+        for u in self.utterances:
+            if not math.isfinite(u.cost):
+                raise ValueError(f"utterance {u.id!r} has a non-finite cost")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.engine not in ENGINES:

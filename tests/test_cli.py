@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -315,12 +316,30 @@ def test_rsa_unknown_utterance(capsys):
     assert "unknown utterance" in err
 
 
+def test_rsa_utterance_false_in_every_state(capsys, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "states": [{"id": "none", "prior": 1.0,
+                    "world": str(FIXTURES / "donkey_prop000.world.json")}],
+        "utterances": [{"id": "donkey", "prop": str(FIXTURES / "donkey.prop")}],
+    }))
+    code, out, err = run_cli(
+        capsys, "rsa", "--scenario", str(scenario), "--agent", "l0", "--utterance", "donkey"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: utterance 'donkey' is false in every state\n"
+
+
 def test_console_entry_point():
+    # the child sees the package under test whether or not it is installed
+    path = (str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run(
         [sys.executable, "-m", "quantale.cli", "curve", "--kind", "generic",
          "--points", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "ratio,value\n0.0,0.0\n1.0,1.0\n"

@@ -342,6 +342,27 @@ def test_scenario_rejects_engines_rsa_cannot_use(tmp_path, engine):
     assert any(f"unknown engine {engine!r}" in d.message for d in diags)
 
 
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        ("1e400", "cost must be finite"),
+        ("-1e400", "cost must be a non-negative number"),
+        ("-1", "cost must be a non-negative number"),
+        ('"1"', "cost must be a non-negative number"),
+    ],
+    ids=["inf", "minus-inf", "negative", "string"],
+)
+def test_scenario_costs_must_be_finite_and_non_negative(tmp_path, cost, message):
+    (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
+    text = f"""{{
+  "states": [{{"id": "s", "prior": 1.0, "world": "red.world.json"}}],
+  "utterances": [{{"id": "u", "prop": "true", "cost": {cost}}}],
+  "alpha": 2
+}}"""
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == (message, 3, 54)
+
+
 def test_scenario_duplicate_ids_are_one_diagnostic_at_the_document(tmp_path):
     (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
     text = """{

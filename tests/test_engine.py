@@ -356,36 +356,55 @@ def test_mc_fixture_results_are_pinned(fixtures_dir):
                 assert result.probability.hex() == pins[k], (world.name, prop.name, scheme)
 
 
-# eval_exact under (independent, coupled-threshold) on every fixture world x
-# prop that validates, as float hex; every other pair fails validation.
+# eval_exact under (independent, coupled-threshold), then eval_naive and
+# eval_generic_fast, on every fixture world x prop that validates: float hex,
+# or the error raised.  Every other pair fails validation in all four.
 EXACT_PINS = {
-    ("dog_barks.world.json", "dog_barks.prop"): ("0x1.999999999999ap-1", "0x1.999999999999ap-1"),
-    ("donkey_half.world.json", "donkey.prop"): ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
-    ("donkey_prop000.world.json", "donkey.prop"): ("0x0.0p+0", "0x0.0p+0"),
-    ("donkey_prop050.world.json", "donkey.prop"): ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
-    ("donkey_prop100.world.json", "donkey.prop"): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("dog_barks.world.json", "dog_barks.prop"): ("0x1.999999999999ap-1", "0x1.999999999999ap-1",
+                                                 "0x1.999999999999ap-1", "0x1.999999999999ap-1"),
+    ("donkey_half.world.json", "donkey.prop"): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                                                "0x0.0p+0", PreciseQuantifierInFastPath),
+    ("donkey_prop000.world.json", "donkey.prop"): ("0x0.0p+0", "0x0.0p+0",
+                                                   "0x0.0p+0", PreciseQuantifierInFastPath),
+    ("donkey_prop050.world.json", "donkey.prop"): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                                                   "0x0.0p+0", PreciseQuantifierInFastPath),
+    ("donkey_prop100.world.json", "donkey.prop"): ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                                                   "0x1.0000000000000p+0",
+                                                   PreciseQuantifierInFastPath),
     ("donkey_threequarters.world.json", "donkey.prop"): ("0x1.8000000000000p-1",
-                                                          "0x1.8000000000000p-1"),
-    ("picture_story.world.json", "picture_story.prop"): ("0x0.0p+0", "0x0.0p+0"),
+                                                          "0x1.8000000000000p-1",
+                                                          "0x0.0p+0", PreciseQuantifierInFastPath),
+    ("picture_story.world.json", "picture_story.prop"): ("0x0.0p+0", "0x0.0p+0",
+                                                         "0x0.0p+0", PreciseQuantifierInFastPath),
     ("prevalence_half.world.json", "generic_carries.prop"): ("0x1.0000000000000p-1",
+                                                              "0x1.0000000000000p-1",
+                                                              "0x1.0000000000000p-1",
                                                               "0x1.0000000000000p-1"),
-    ("prevalence_zero.world.json", "generic_carries.prop"): ("0x0.0p+0", "0x0.0p+0"),
-    ("red.world.json", "every_red.prop"): ("0x1.6666666666666p-1", "0x1.6666666666666p-1"),
-    ("red.world.json", "some_red.prop"): ("0x1.6666666666666p-1", "0x1.6666666666666p-1"),
+    ("prevalence_zero.world.json", "generic_carries.prop"): ("0x0.0p+0", "0x0.0p+0",
+                                                              "0x0.0p+0", "0x0.0p+0"),
+    ("red.world.json", "every_red.prop"): ("0x1.6666666666666p-1", "0x1.6666666666666p-1",
+                                           "0x0.0p+0", PreciseQuantifierInFastPath),
+    ("red.world.json", "some_red.prop"): ("0x1.6666666666666p-1", "0x1.6666666666666p-1",
+                                          "0x1.0000000000000p+0", PreciseQuantifierInFastPath),
 }
 
 
 def test_exact_fixture_results_are_pinned(fixtures_dir):
-    schemes = (q.LiftScheme.INDEPENDENT, q.LiftScheme.COUPLED_THRESHOLD)
+    engines = (
+        lambda *inputs: q.eval_exact(*inputs, q.LiftScheme.INDEPENDENT),
+        lambda *inputs: q.eval_exact(*inputs, q.LiftScheme.COUPLED_THRESHOLD),
+        q.eval_naive,
+        q.eval_generic_fast,
+    )
     for world in sorted(fixtures_dir.glob("*.world.json")):
         model, lexicon = load_world(world.name)
         for prop in sorted(fixtures_dir.glob("*.prop")):
             graph = load_prop(prop.name)
-            pins = EXACT_PINS.get((world.name, prop.name))
-            for k, scheme in enumerate(schemes):
-                if pins is None:
-                    with pytest.raises(ValidationFailed):
-                        q.eval_exact(graph, model, lexicon, scheme)
+            pins = EXACT_PINS.get((world.name, prop.name), (ValidationFailed,) * 4)
+            for k, (run, pin) in enumerate(zip(engines, pins)):
+                if isinstance(pin, type):
+                    with pytest.raises(pin):
+                        run(graph, model, lexicon)
                     continue
-                result = q.eval_exact(graph, model, lexicon, scheme)
-                assert result.probability.hex() == pins[k], (world.name, prop.name, scheme)
+                result = run(graph, model, lexicon)
+                assert result.probability.hex() == pin, (world.name, prop.name, k)

@@ -225,8 +225,8 @@ def test_lift_marginals_reproduce_psi(seed, scheme):
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_run_sums_are_correctly_rounded(seed):
-    # group sums of every engine; compared with math.fsum bit for bit on
-    # many short runs (summed side by side) and few long ones
+    # group sums, threshold integrals and count-state sums; compared with
+    # math.fsum bit for bit on many short runs and few long ones
     from quantale.engine import _fsum_runs
 
     rng = random.Random(seed)
@@ -234,8 +234,8 @@ def test_run_sums_are_correctly_rounded(seed):
     counts = [rng.randint(0, 9) for _ in range(n_runs)]
     scale = [2.0 ** rng.randint(-60, 0) for _ in range(sum(counts))]
     terms = [s * rng.choice([1.0 / 7, rng.random(), 0.1, 1.0]) for s in scale]
-    # 1 + 2^-53 is a tie that the last term breaks upwards; its error
-    # does not fit beside 2^-53, so only an exact fallback gets it right
+    # 1 + 2^-53 is a tie that the last term breaks upwards; a sum that
+    # keeps each addition's error in a single float rounds it down
     terms = np.array(terms + [1.0, 2.0**-53, 2.0**-107])
     counts = np.array(counts + [3])
     starts = np.cumsum(counts) - counts

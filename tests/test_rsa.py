@@ -123,6 +123,14 @@ def test_pragmatic_speaker_softmax():
     assert math.fsum(dist.values()) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("cost", [math.inf, -math.inf, math.nan])
+def test_scenario_rejects_non_finite_costs(cost):
+    # an infinite cost makes every speaker utility -inf, and a softmax at
+    # finite alpha over them gives NaN probabilities
+    with pytest.raises(ValueError, match="'narrow' has a non-finite cost"):
+        boolean_scenario(alpha=2.0, costs=(cost, 0.0))
+
+
 def test_speaker_costs_shift_choice():
     # an expensive narrow utterance loses to wide at infinite alpha
     scenario = boolean_scenario(costs=(10.0, 0.0))
