@@ -83,13 +83,13 @@ def cmd_eval(args) -> int:
         config_cap=args.cap_configs, vague_node_cap=args.cap_vague_nodes
     )
     scheme = LiftScheme(args.scheme or LiftScheme.INDEPENDENT.value)
-    if args.engine in ("naive", "generic-fast") and args.scheme is not None:
+    if args.engine in (_engine.NAIVE, _engine.GENERIC_FAST) and args.scheme is not None:
         print(
             f"warning: --scheme is ignored by the {args.engine} engine",
             file=sys.stderr,
         )
     seed = None
-    if args.engine == "mc":
+    if args.engine == _engine.MONTE_CARLO:
         try:
             seed = _mc_seed(args)
         except ValueError as exc:
@@ -107,7 +107,7 @@ def cmd_eval(args) -> int:
         return EXIT_DIAGNOSTICS
 
     document = {"probability": result.probability, "engine": result.engine}
-    if result.engine in ("exact", "mc"):
+    if result.engine in (_engine.EXACT, _engine.MONTE_CARLO):
         document["scheme"] = scheme.value
     if result.ci is not None:
         document["ci"] = list(result.ci)
@@ -189,12 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a proposition in a world")
     p_eval.add_argument("--world", required=True)
     p_eval.add_argument("--prop", required=True)
-    p_eval.add_argument(
-        "--engine", choices=["naive", "exact", "mc", "generic-fast"], default="exact"
-    )
-    p_eval.add_argument(
-        "--scheme", choices=["independent", "coupled-threshold"], default=None
-    )
+    p_eval.add_argument("--engine", choices=_engine.ENGINES, default=_engine.EXACT)
+    p_eval.add_argument("--scheme", choices=[s.value for s in LiftScheme], default=None)
     p_eval.add_argument("--samples", type=int, default=None)
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--output", choices=["json", "csv"], default="json")

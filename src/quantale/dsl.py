@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from json.decoder import scanstring
 from pathlib import Path
 
+from .engine import EXACT
 from .errors import DslParseError
 from .model import (MASS_TOL, LiftScheme, PixieSpace, SituationModel, VaguePredicate,
                      VagueLexicon)
@@ -33,6 +34,11 @@ from .scope import (
     topological_order,
     validate,
 )
+
+
+# Input nested deeper than this is refused with a diagnostic: the readers
+# below, the scope walks and the engines recurse once or twice per level.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -122,13 +128,15 @@ class _JsonReader:
             self._fail("trailing content after JSON document")
         return value
 
-    def _value(self) -> JValue:
+    def _value(self, depth=0) -> JValue:
         ch = self._next()
         line, col = self.diags.where(self.pos)
+        if ch in ("{", "[") and depth == MAX_NESTING:
+            self._fail(f"nesting deeper than {MAX_NESTING} levels")
         if ch == "{":
-            return self._object(line, col)
+            return self._object(line, col, depth + 1)
         if ch == "[":
-            return self._array(line, col)
+            return self._array(line, col, depth + 1)
         if ch == '"':
             return JValue(self._string(), line, col)
         if ch and (ch.isdigit() or ch == "-"):
@@ -168,7 +176,7 @@ class _JsonReader:
         self.pos += 1
         return ch == ","
 
-    def _object(self, line, col) -> JValue:
+    def _object(self, line, col, depth) -> JValue:
         self.pos += 1
         entries: dict[str, JValue] = {}
         key_pos: dict[str, tuple[int, int]] = {}
@@ -185,19 +193,19 @@ class _JsonReader:
             if self._next() != ":":
                 self._fail("expected ':'")
             self.pos += 1
-            entries[key] = self._value()
+            entries[key] = self._value(depth)
             key_pos[key] = where
             if not self._more("}"):
                 return JValue(entries, line, col, key_pos)
 
-    def _array(self, line, col) -> JValue:
+    def _array(self, line, col, depth) -> JValue:
         self.pos += 1
         items: list[JValue] = []
         if self._next() == "]":
             self.pos += 1
             return JValue(items, line, col)
         while True:
-            items.append(self._value())
+            items.append(self._value(depth))
             if not self._more("]"):
                 return JValue(items, line, col)
 
@@ -396,15 +404,14 @@ def _tokenize(text: str, diags: _Diagnostics) -> list[_Tok]:
     ]
 
 
-def _read_datum(tokens, pos, diags):
-    if pos >= len(tokens):
-        last = tokens[-1] if tokens else _Tok("atom", "", 1, 1)
-        diags.fail("unexpected end of input", last.line, last.column)
+def _read_datum(tokens, pos, diags, depth=0):
     tok = tokens[pos]
     if tok.kind == "atom":
         return tok, pos + 1
     if tok.kind == ")":
         diags.fail("unexpected ')'", tok.line, tok.column)
+    if depth == MAX_NESTING:
+        diags.fail(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.column)
     items = []
     pos += 1
     while True:
@@ -412,7 +419,7 @@ def _read_datum(tokens, pos, diags):
             diags.fail("unclosed '('", tok.line, tok.column)
         if tokens[pos].kind == ")":
             return (tok, items), pos + 1
-        item, pos = _read_datum(tokens, pos, diags)
+        item, pos = _read_datum(tokens, pos, diags, depth + 1)
         items.append(item)
 
 
@@ -432,16 +439,22 @@ def parse_prop(text: str) -> ScopeGraph:
         diags.fail("trailing content after proposition", extra.line, extra.column)
 
     nodes: list = []
+    depth: list[int] = []  # per node, the most nodes on a path down to a leaf
     aliases: dict[str, int] = {}
 
-    def add(node) -> int:
+    def add(node, tok) -> int:
+        # let-bindings nest the graph deeper than the text
+        level = 1 + max((depth[c] for c in children(node)), default=0)
+        if level > MAX_NESTING:
+            diags.fail(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.column)
         nodes.append(node)
+        depth.append(level)
         return len(nodes) - 1
 
     def build(d) -> int:
         if isinstance(d, _Tok):
             if d.text == "true":
-                return add(Tautology())
+                return add(Tautology(), d)
             if d.text.startswith("#"):
                 name = d.text[1:]
                 if name not in aliases:
@@ -478,11 +491,11 @@ def parse_prop(text: str) -> ScopeGraph:
                 diags.fail("quantifier binds no variables", vtok.line, vtok.column)
             restriction = build(items[2])
             body = build(items[3])
-            return add(Quantifier(_KINDS[head.text], tuple(bound), restriction, body))
+            return add(Quantifier(_KINDS[head.text], tuple(bound), restriction, body), head)
         if head.text == "and":
             if len(items) < 2:
                 diags.fail("'and' needs at least one child", head.line, head.column)
-            return add(Conjunction(tuple(build(c) for c in items[1:])))
+            return add(Conjunction(tuple(build(c) for c in items[1:])), head)
         if head.text == "let":
             diags.fail("'let' is only allowed at the top level", head.line, head.column)
         if head.text == "true" or head.text.startswith("#"):
@@ -493,7 +506,7 @@ def parse_prop(text: str) -> ScopeGraph:
                 head.line,
                 head.column,
             )
-        return add(Application(head.text, items[1].text))
+        return add(Application(head.text, items[1].text), head)
 
     if (
         not isinstance(datum, _Tok)
@@ -599,7 +612,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
         else:
             diags.error("alpha must be a positive number or \"inf\"", a_jv.line, a_jv.column)
 
-    engine = "exact"
+    engine = EXACT
     if "engine" in doc.value:
         e_jv = doc.value["engine"]
         if _expect(diags, e_jv, str, "'engine'") and e_jv.value not in ENGINES:

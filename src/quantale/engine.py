@@ -55,6 +55,7 @@ from .model import (
     LiftScheme,
     SituationModel,
     VagueLexicon,
+    _fsum_runs,
 )
 from .quant import (
     QuantifierKind,
@@ -76,6 +77,7 @@ NAIVE = "naive"
 EXACT = "exact"
 MONTE_CARLO = "mc"
 GENERIC_FAST = "generic-fast"
+ENGINES = (NAIVE, EXACT, MONTE_CARLO, GENERIC_FAST)
 
 DEFAULT_VAGUE_NODE_CAP = 4
 DENOM_GUARD = 1e-15
@@ -106,15 +108,6 @@ class GenericComparison:
     exact: float
     fast: float
     gap: float
-
-
-def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each run ``terms[starts[k]:starts[k] + counts[k]]``:
-    one ``math.fsum`` per run.  A run's sum does not depend on the order of its
-    terms, and three of six rows of mass 1/7 make a ratio of exactly 1/2."""
-    flat = terms.tolist()
-    return np.array([math.fsum(flat[a:a + n]) for a, n in zip(starts.tolist(), counts.tolist())],
-                    dtype=float)
 
 
 class _Core:
@@ -545,10 +538,11 @@ def compare_generic(graph: ScopeGraph, model: SituationModel,
                     scheme: LiftScheme = LiftScheme.INDEPENDENT,
                     limits: EngineLimits = EngineLimits(),
                     generic_empty: float = 1.0) -> GenericComparison:
-    """Expectation-over-configurations value versus the fast-path value."""
-    for i in graph.quantifier_nodes():
+    """Expectation-over-configurations value versus the fast-path value.
+    Every quantifier reachable from the root must be generic."""
+    for i in sorted(validated_order(graph, model, lexicon)):
         node = graph.nodes[i]
-        if node.kind is not QuantifierKind.GENERIC:
+        if isinstance(node, Quantifier) and node.kind is not QuantifierKind.GENERIC:
             raise PreciseQuantifierInFastPath(
                 f"compare_generic requires all quantifiers generic; node {i} "
                 f"is {getattr(node.kind, 'value', 'custom')!r}"

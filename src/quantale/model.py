@@ -46,29 +46,28 @@ class PixieSpace:
         return hash(frozenset(self.elements))
 
 
-def _runs(key: np.ndarray):
-    """Runs of equal values of ``key`` in a stable sort of it: the sorting
-    order, where each run starts, its length, and each entry's run."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
+def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each run ``terms[starts[k]:starts[k] + counts[k]]``:
+    one ``math.fsum`` per run.  A run's sum does not depend on the order of its
+    terms, and three of six rows of mass 1/7 make a ratio of exactly 1/2."""
+    flat = terms.tolist()
+    return np.array([math.fsum(flat[a:a + n]) for a, n in zip(starts.tolist(), counts.tolist())],
+                    dtype=float)
+
+
+def _runs(codes: np.ndarray):
+    """Runs of equal rows of ``codes`` (rows x columns) in a stable sort of
+    them, lexicographic with the first column primary: the sorting order,
+    where each run starts, its length, and each row's run.  Without
+    columns, every row is in one run."""
+    n = len(codes)
+    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(n)
+    ordered = codes[order]
+    new = np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))
     starts = np.flatnonzero(new)
-    run = np.empty(len(key), dtype=np.intp)
+    run = np.empty(n, dtype=np.intp)
     run[order] = np.cumsum(new) - 1
-    return order, starts, np.diff(np.append(starts, len(key))), run
-
-
-def _mixed_radix(codes: np.ndarray, radix: int) -> np.ndarray:
-    """One integer per row of ``codes``, ordered as the rows are
-    lexicographically: the row's codes as digits in base ``radix``, the
-    key renumbered by rank before a digit could overflow it."""
-    key = np.zeros(len(codes), dtype=np.int64)
-    for column in codes.T:
-        if int(key.max(initial=0)) >= 2**62 // radix:
-            key = _runs(key)[3]
-        key = key * radix + column
-    return key
+    return order, starts, np.diff(np.append(starts, n)), run
 
 
 def _read_only(*arrays):
@@ -148,9 +147,8 @@ class SituationModel:
 
     def _project(self, vars: tuple[str, ...]):
         """Codes and masses of the joint's distinct projections onto
-        ``vars``, in order of first occurrence.  Each mass is summed in
-        joint order (``np.add.at`` adds one index at a time), as a loop
-        over the joint would."""
+        ``vars``, in lexicographic order of their codes, each mass the
+        correctly rounded sum of its rows' masses."""
         if not vars:
             raise ValueError("marginal requires at least one variable")
         for v in vars:
@@ -158,19 +156,16 @@ class SituationModel:
                 raise UnknownVariable(f"unknown variable {v!r}")
         codes, mass = self._arrays
         codes = codes[:, [self.variables.index(v) for v in vars]]
-        order, starts, _, run = _runs(_mixed_radix(codes, len(self.space.elements)))
-        first = order[starts]  # each projection's first joint row
-        # stable sorts, as in _runs: a first default-kind sort maps 0.25 MB more
-        rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-        sums = np.zeros(len(first))
-        np.add.at(sums, rank[run], mass)
-        return codes[np.sort(first, kind="stable")], sums
+        order, starts, sizes, _ = _runs(codes)
+        return codes[order[starts]], _fsum_runs(mass[order], starts, sizes)
 
     def marginal(self, vars) -> dict[tuple[str, ...], float]:
         """Sum joint mass over the eliminated variables.
 
-        The result is keyed by tuples in the order given by ``vars``, in
-        order of first occurrence in the joint, zero masses included.
+        The result is keyed by tuples in the order given by ``vars``,
+        sorted by the pixies' positions in ``space.elements`` (first
+        variable first), zero masses included.  Each mass is correctly
+        rounded, so it does not depend on the order of the joint's rows.
         """
         codes, mass = self._project(tuple(vars))
         names = self.space.elements
@@ -195,15 +190,16 @@ class SituationModel:
 
     def groups(self, vars, by) -> tuple:
         """The rows of ``rows(vars)`` grouped by the variables ``by``, in
-        the order given, as runs of a stable sort of their mixed-radix
-        keys: the sorting order, each run's start and length, each row's
-        run, and each run's one mass (None if some run holds several)."""
+        the order given, as runs of a stable lexicographic sort of their
+        codes (``_runs``): the sorting order, each run's start and length,
+        each row's run, and each run's one mass (None if some run holds
+        several)."""
         vars, by = tuple(vars), tuple(by)
         found = self._memo.get(("groups", vars, by))
         if found is None:
             codes, mass = self.rows(vars)
             columns = codes[:, [vars.index(v) for v in by]]
-            order, starts, sizes, run = _runs(_mixed_radix(columns, len(self.space.elements)))
+            order, starts, sizes, run = _runs(columns)
             ordered = mass[order]
             head = ordered[starts]  # each run's first mass
             one = np.array_equal(ordered, np.repeat(head, sizes))

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import evaluate
+from .engine import EXACT, GENERIC_FAST, NAIVE, evaluate
 from .errors import AllFalse, NoViableUtterance
 from .model import MASS_TOL, LiftScheme, SituationModel, VagueLexicon
 from .scope import ScopeGraph
 
 # deterministic engines; mc would need a sample count and a seed per meaning
-ENGINES = ("naive", "exact", "generic-fast")
+ENGINES = (NAIVE, EXACT, GENERIC_FAST)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class RsaScenario:
     states: tuple[RsaState, ...]
     utterances: tuple[RsaUtterance, ...]
     alpha: float = math.inf
-    engine: str = "exact"
+    engine: str = EXACT
 
     def __post_init__(self):
         if not self.states:

@@ -226,6 +226,11 @@ def test_curve_unknown_kind(capsys):
     assert "unknown quantifier kind" in err
 
 
+def test_curve_needs_two_points(capsys):
+    code, out, err = run_cli(capsys, "curve", "--kind", "most", "--points", "1")
+    assert (code, out, err) == (1, "", "error: --points must be at least 2\n")
+
+
 def test_check_valid(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -328,6 +333,39 @@ def test_rsa_utterance_false_in_every_state(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: utterance 'donkey' is false in every state\n"
+
+
+def test_deep_nesting_is_a_diagnostic(capsys, tmp_path):
+    # far deeper than the readers could recurse: a positioned diagnostic on
+    # stderr and stdout, exit 1, for a world, a prop and a scenario's prop
+    message = "nesting deeper than 100 levels"
+    world = tmp_path / "deep.world.json"
+    world.write_text("[" * 3000 + "]" * 3000)
+    deep = "(every (x) true " + "(and " * 500 + "(red x)" + ")" * 501
+    prop = tmp_path / "deep.prop"
+    prop.write_text(deep)
+    scenario = tmp_path / "deep.scenario.json"
+    scenario.write_text(
+        '{\n  "states": [{"id": "s", "prior": 1.0, "world": "%s"}],\n'
+        '  "utterances": [{"id": "u", "prop": "%s"}]\n}' % (FIXTURES / "red.world.json", deep)
+    )
+    for argv, diagnostic, line, column in [
+        (("check", "--world", str(world), "--prop", str(FIXTURES / "every_red.prop")),
+         message, 1, 101),
+        (("eval", "--world", str(world), "--prop", str(FIXTURES / "every_red.prop")),
+         message, 1, 101),
+        (("eval", "--world", str(FIXTURES / "red.world.json"), "--prop", str(prop)),
+         message, 1, 512),
+        (("rsa", "--scenario", str(scenario), "--agent", "l0", "--utterance", "u"),
+         f"in inline proposition: {message}", 3, 38),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err == f"error: {diagnostic} (line {line}, column {column})\n", argv
+        document = json.loads(out)
+        diagnostics = document if argv[0] == "check" else document["diagnostics"]
+        assert [(d["message"], d["line"], d["column"]) for d in diagnostics] == [
+            (diagnostic, line, column)], argv
 
 
 def test_console_entry_point():

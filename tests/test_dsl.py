@@ -3,6 +3,7 @@ import math
 import pytest
 
 import quantale as q
+from quantale import dsl
 from quantale.errors import DslParseError
 
 from conftest import FIXTURES, load_prop, load_world
@@ -144,6 +145,56 @@ def test_malformed_json_diagnostics(text, message, line, column):
     assert "\r" not in diag.snippet
 
 
+def _world(pixies='["a"]', variables='["x"]', joint='[{"assign": {"x": "a"}, "prob": 1}]',
+           predicates='{"p": {"a": 0.5}}'):
+    """A world text with one key per line, pixies on line 2."""
+    return (f'{{\n  "pixies": {pixies},\n  "variables": {variables},\n'
+            f'  "joint": {joint},\n  "predicates": {predicates}\n}}')
+
+
+INVALID_WORLDS = [
+    # (case, text, [(message, line, column), ...])
+    ("missing-key", '{\n  "pixies": ["a"],\n  "variables": ["x"],\n  "joint": []\n}',
+     [("missing key 'predicates'", 1, 1)]),
+    ("duplicate-pixie", _world(pixies='["a", "a"]'), [("duplicate pixie 'a'", 2, 19)]),
+    ("empty-pixies", _world(pixies="[]"), [("pixie space must be non-empty", 2, 13)]),
+    ("duplicate-variable", _world(variables='["x", "x"]'),
+     [("duplicate variable 'x'", 3, 22)]),
+    ("joint-entry-not-object", _world(joint="[1]"), [("joint entry must be a object", 4, 13)]),
+    ("assign-not-object", _world(joint='[{"assign": [], "prob": 1}]'),
+     [("'assign' must be a object", 4, 24)]),
+    ("prob-not-number", _world(joint='[{"assign": {"x": "a"}, "prob": "1"}]'),
+     [("'prob' must be a number", 4, 44)]),
+    ("unknown-variable", _world(joint='[{"assign": {"x": "a", "z": "a"}, "prob": 1}]'),
+     [("unknown variable 'z' in assignment", 4, 35)]),
+    ("assigned-pixie-not-string", _world(joint='[{"assign": {"x": 1}, "prob": 1}]'),
+     [("assigned pixie must be a string", 4, 30),
+      ("assignment missing variables ['x']", 4, 13)]),
+    ("duplicate-assignment",
+     _world(joint='[{"assign": {"x": "a"}, "prob": 0.5}, {"assign": {"x": "a"}, "prob": 0.5}]'),
+     [("duplicate assignment ('a',)", 4, 50)]),
+    ("predicate-not-object", _world(predicates='{"p": [0.5]}'),
+     [("predicate 'p' must be a object", 5, 23)]),
+    ("predicate-probability-not-number", _world(predicates='{"p": {"a": "0.5"}}'),
+     [("predicate probability must be a number", 5, 29)]),
+    ("true", _world(joint='[{"assign": {"x": "a"}, "prob": true}]'),
+     [("'prob' must be a number", 4, 44)]),
+    ("false", _world(predicates='{"p": {"a": false}}'),
+     [("predicate probability must be a number", 5, 29)]),
+    ("null", _world(pixies="[null]"), [("pixie must be a string", 2, 14)]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [row[1:] for row in INVALID_WORLDS],
+    ids=[row[0] for row in INVALID_WORLDS],
+)
+def test_invalid_world_diagnostics(text, expected):
+    diags = diagnostics_of(q.parse_world, text)
+    assert [(d.message, d.line, d.column) for d in diags] == expected
+
+
 def test_snippet_lines_break_only_at_newlines():
     # a form feed inside a string is not a line break for either the
     # position or the snippet
@@ -227,10 +278,63 @@ def test_parse_prop_errors():
         assert any(fragment in d.message for d in diags), (text, diags)
 
 
+INVALID_PROPS = [
+    # (case, text, message, line, column)
+    ("unexpected-close", "\n  ) (red x)", "unexpected ')'", 2, 3),
+    ("expected-expression", "(some (x)\n  foo (red x))", "expected an expression, got 'foo'",
+     2, 3),
+    ("empty-expression", "(some (x) () (red x))", "empty expression", 1, 11),
+    ("expected-keyword", "((red x) x)", "expected a keyword or predicate name", 1, 1),
+    ("expected-variable-list", "(some x true (red x))", "expected a (variable ...) list", 1, 7),
+    ("reserved-variable-name", "(some (true) true (red x))", "expected a variable name", 1, 8),
+    ("list-as-variable-name", "(some ((x)) true (red x))", "expected a variable name", 1, 8),
+    ("true-heads-application", "(some (x) (true x) (red x))",
+     "'true' cannot head an application", 1, 12),
+    ("let-without-expression", "(let)", "'let' needs a final expression", 1, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [row[1:] for row in INVALID_PROPS],
+    ids=[row[0] for row in INVALID_PROPS],
+)
+def test_invalid_prop_diagnostics(text, message, line, column):
+    (diag,) = diagnostics_of(q.parse_prop, text)
+    assert (diag.message, diag.line, diag.column) == (message, line, column)
+
+
 def test_parse_prop_error_position():
     diags = diagnostics_of(q.parse_prop, "(and (red x)\n  #ghost)")
     assert diags[0].line == 2
     assert diags[0].column == 3
+
+
+def test_nesting_limit():
+    # 100 levels of arrays, lists or graph nodes parse; one more is refused
+    # at the bracket or expression that opens it
+    message = f"nesting deeper than {dsl.MAX_NESTING} levels"
+    assert dsl.MAX_NESTING == 100
+    (diag,) = diagnostics_of(q.parse_world, "[" * 100 + "]" * 100)
+    assert diag.message == "world document must be a object"
+    (diag,) = diagnostics_of(q.parse_world, "[" * 101 + "]" * 101)
+    assert (diag.message, diag.line, diag.column) == (message, 1, 101)
+
+    def nested(ands):
+        return "(every (x) true\n" + "(and " * ands + "(red x)" + ")" * (ands + 1)
+
+    assert len(q.parse_prop(nested(98)).nodes) == 101
+    (diag,) = diagnostics_of(q.parse_prop, nested(99))
+    assert (diag.message, diag.line, diag.column) == (message, 2, 496)
+
+    def chain(links):
+        # each binding is one node deeper than the last, the text is not
+        binds = " ".join(f"(a{k} (and #a{k - 1}))" for k in range(1, links + 1))
+        return f"(let (a0 (red x)) {binds}\n  (every (x) true #a{links}))"
+
+    assert len(q.parse_prop(chain(98)).nodes) == 101
+    (diag,) = diagnostics_of(q.parse_prop, chain(99))
+    assert (diag.message, diag.line, diag.column) == (message, 2, 4)
 
 
 def test_serialize_prop_round_trip_fixtures(fixtures_dir):

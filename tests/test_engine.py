@@ -4,6 +4,7 @@ import time
 import pytest
 
 import quantale as q
+from quantale.engine import evaluate
 from quantale.errors import (
     ExplosionGuard,
     PreciseQuantifierInFastPath,
@@ -92,6 +93,20 @@ def test_engines_raise_on_invalid_graph():
     for fn in (q.eval_naive, q.eval_exact, q.eval_generic_fast):
         with pytest.raises(ValidationFailed):
             fn(open_graph, model, lexicon)
+
+
+@pytest.mark.parametrize(
+    "engine, extra, message",
+    [("bogus", {}, "unknown engine 'bogus'"),
+     ("mc", {"samples": 10}, "the mc engine requires samples and a seed"),
+     ("mc", {"seed": 1}, "the mc engine requires samples and a seed")],
+    ids=["unknown-engine", "mc-without-seed", "mc-without-samples"],
+)
+def test_evaluate_rejects_unknown_engines_and_unseeded_mc(engine, extra, message):
+    model, lexicon = red_world(0.5)
+    with pytest.raises(ValueError) as err:
+        evaluate(quant_over_tautology("every"), model, lexicon, engine, **extra)
+    assert str(err.value) == message
 
 
 def two_pixie_precise_world(p_a=0.6):
@@ -236,6 +251,18 @@ def test_compare_generic_rejects_precise_kinds():
         q.compare_generic(quant_over_tautology("most"), model, lexicon)
 
 
+def test_compare_generic_ignores_unused_bindings():
+    # a precise quantifier that only an unused let-binding names is not
+    # evaluated by either engine, so it is no reason to refuse
+    model, lexicon = load_world("prevalence_half.world.json")
+    body = "(generic (x) (mosquito x) (carries x))"
+    graph = q.parse_prop(f"(let (unused (every (x) (mosquito x) (carries x))) {body})")
+    assert q.compare_generic(graph, model, lexicon) == q.GenericComparison(0.5, 0.5, 0.0)
+    used = q.parse_prop(f"(let (used (every (x) (mosquito x) (carries x))) (and #used {body}))")
+    with pytest.raises(PreciseQuantifierInFastPath):
+        q.compare_generic(used, model, lexicon)
+
+
 def test_donkey_exact_values(donkey_graph):
     half = load_world("donkey_half.world.json")
     threequarters = load_world("donkey_threequarters.world.json")
@@ -275,6 +302,28 @@ def test_most_is_strict_at_an_inexact_half():
         assert q.eval_exact(graph, model, lexicon, scheme).probability == 0.0
         assert q.eval_mc(graph, model, lexicon, scheme, samples=50, seed=0).probability == 0.0
     assert q.eval_naive(graph, model, lexicon).probability == 0.0
+
+
+def test_equal_models_give_equal_bits():
+    # the three rows of pixie a hold a little more than the 0.12 of pixie b,
+    # so the strict `most` holds.  Added in joint order, y0 first, they
+    # round down to 0.12, a ratio of exactly 1/2; y1 first, they do not.
+    rows = {("a", "y0"): 0.1, ("a", "y1"): 0.01, ("a", "y2"): 0.01,
+            ("b", "y0"): 0.12, ("c", "y0"): 0.76}
+    space = q.PixieSpace(("a", "b", "c", "y0", "y1", "y2"))
+    lexicon = q.VagueLexicon({"r": q.VaguePredicate("r", {"a": 1.0, "b": 1.0}),
+                              "b": q.VaguePredicate("b", {"a": 1.0})})
+    graph = q.parse_prop("(most (x) (r x) (b x))")
+    models = [q.SituationModel(space, ("x", "y"), tuple((k, rows[k]) for k in order))
+              for order in (list(rows), [("a", "y1"), ("a", "y2"), ("a", "y0"),
+                                         ("b", "y0"), ("c", "y0")])]
+    assert models[0] == models[1]
+    a = math.fsum([0.1, 0.01, 0.01])
+    assert a > 0.12
+    for model in models:
+        assert q.eval_exact(graph, model, lexicon).probability == 1.0
+        assert list(model.marginal(("x",)).items()) == [(("a",), a), (("b",), 0.12),
+                                                        (("c",), 0.76)]
 
 
 def _all_fractional_world(n_pixies):

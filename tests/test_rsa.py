@@ -208,6 +208,16 @@ def test_pragmatic_listener_with_an_utterance_false_everywhere():
         q.literal_listener(scenario, "never")
 
 
+def test_pragmatic_listener_skips_a_state_where_no_utterance_is_true():
+    # only 'narrow' is offered, and it is false in state a: no speaker
+    # speaks in a, so a gets no pragmatic mass
+    scenario = boolean_scenario()
+    scenario = dataclasses.replace(scenario, utterances=scenario.utterances[:1])
+    with pytest.raises(NoViableUtterance, match="for state 'a'"):
+        pragmatic_speaker(scenario, "a")
+    assert q.pragmatic_listener(scenario, "narrow") == {"a": 0.0, "b": 1.0}
+
+
 def count_meanings(monkeypatch):
     """Record the (utterance, state) of every call to ``rsa.meaning``."""
     calls = []
