@@ -37,7 +37,8 @@ from .scope import (
 
 
 # Input nested deeper than this is refused with a diagnostic: the readers
-# below, the scope walks and the engines recurse once or twice per level.
+# below and serialize_prop recurse once or twice per level, and the exact
+# engine once per vague quantifier.
 MAX_NESTING = 100
 
 
@@ -59,60 +60,66 @@ class _Diagnostics:
     def __init__(self, text: str):
         self.text = text
         self.newlines = [m.start() for m in re.finditer("\n", text)]
-        self.items: list[SourceDiagnostic] = []
 
     def where(self, offset: int) -> tuple[int, int]:
         """1-based line and column of a text offset."""
         k = bisect.bisect_left(self.newlines, offset)
         return k + 1, offset - (self.newlines[k - 1] if k else -1)
 
-    def snippet(self, line: int) -> str:
-        """The line, without its line break; past the end, the last line."""
+    def error(self, message: str, line: int, column: int) -> SourceDiagnostic:
+        """An error whose snippet is its line without the line break; past
+        the end, the last line."""
         last = len(self.newlines) + (not self.text.endswith("\n"))
         k = min(line, max(last, 1)) - 1
         start = self.newlines[k - 1] + 1 if k else 0
         end = self.newlines[k] if k < len(self.newlines) else len(self.text)
-        return self.text[start:end].removesuffix("\r")
-
-    def error(self, message: str, line: int, column: int):
-        self.items.append(SourceDiagnostic("error", message, line, column, self.snippet(line)))
-
-    def raise_if_any(self):
-        if self.items:
-            raise DslParseError(self.items)
+        snippet = self.text[start:end].removesuffix("\r")
+        return SourceDiagnostic("error", message, line, column, snippet)
 
     def fail(self, message: str, line: int, column: int):
-        self.error(message, line, column)
-        raise DslParseError(self.items)
+        raise DslParseError([self.error(message, line, column)])
 
 
-# --- JSON with source positions ---------------------------------------------
+# --- JSON ----------------------------------------------------------------------
+#
+# A document is decoded by the standard library's C scanner, set up to accept
+# what the positioned reader below accepts, and its schema is checked on the
+# plain values.  Each schema issue names a key path, such as ("joint", 3,
+# "prob").  Only if the scanner refuses the text or the schema reports an issue
+# is the text read again by the positioned reader: its syntax errors come
+# first, and it turns each path into a line and column.
 
-@dataclass
-class JValue:
-    value: object  # dict[str, JValue] | list[JValue] | str | float | bool | None
-    line: int
-    column: int
-    key_pos: dict | None = None  # key -> (line, column) for objects
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
 
+
+# Integers are read as floats, and control characters are allowed inside
+# strings.  int() refuses NaN, Infinity and -Infinity, the only constants.
+_DECODER = json.JSONDecoder(strict=False, parse_int=float, parse_constant=int,
+                            object_pairs_hook=_unique_keys)
 
 _WS = re.compile(r"[ \t\r\n]*")
-_NUMBER = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_NUMBER = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?", re.ASCII)
 _HEX4 = re.compile(r"[0-9a-fA-F]{4}")
 _LITERALS = (("true", True), ("false", False), ("null", None))
 
 
 class _JsonReader:
-    """Recursive-descent JSON reader that records where each value starts.
+    """Recursive-descent JSON reader that records where each value and each
+    object key starts, by key path.
 
     Strings are decoded by the standard library's scanner; its errors are
     reported at the offending character.
     """
 
-    def __init__(self, text: str, diags: _Diagnostics):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.diags = diags
+        self.diags = _Diagnostics(text)
+        self.starts: dict[tuple, int] = {}  # (path, at the key) -> offset
 
     def _fail(self, message, offset=None):
         self.diags.fail(message, *self.diags.where(self.pos if offset is None else offset))
@@ -122,33 +129,37 @@ class _JsonReader:
         self.pos = _WS.match(self.text, self.pos).end()
         return self.text[self.pos : self.pos + 1]
 
-    def parse(self) -> JValue:
-        value = self._value()
+    def parse(self):
+        value = self._value(())
         if self._next():
             self._fail("trailing content after JSON document")
         return value
 
-    def _value(self, depth=0) -> JValue:
+    def error(self, message: str, path: tuple, key: bool) -> SourceDiagnostic:
+        """An error at the value, or the key, at a path."""
+        return self.diags.error(message, *self.diags.where(self.starts[path, key]))
+
+    def _value(self, path):
         ch = self._next()
-        line, col = self.diags.where(self.pos)
-        if ch in ("{", "[") and depth == MAX_NESTING:
+        self.starts[path, False] = self.pos
+        if ch in ("{", "[") and len(path) == MAX_NESTING:
             self._fail(f"nesting deeper than {MAX_NESTING} levels")
         if ch == "{":
-            return self._object(line, col, depth + 1)
+            return self._object(path)
         if ch == "[":
-            return self._array(line, col, depth + 1)
+            return self._array(path)
         if ch == '"':
-            return JValue(self._string(), line, col)
+            return self._string()
         if ch and (ch.isdigit() or ch == "-"):
             m = _NUMBER.match(self.text, self.pos)
             if not m:
                 self._fail("malformed number")
             self.pos = m.end()
-            return JValue(float(m.group()), line, col)
+            return float(m.group())
         for word, lit in _LITERALS:
             if self.text.startswith(word, self.pos):
                 self.pos += len(word)
-                return JValue(lit, line, col)
+                return lit
         self._fail("expected a JSON value")
 
     def _string(self) -> str:
@@ -176,62 +187,83 @@ class _JsonReader:
         self.pos += 1
         return ch == ","
 
-    def _object(self, line, col, depth) -> JValue:
+    def _object(self, path) -> dict:
         self.pos += 1
-        entries: dict[str, JValue] = {}
-        key_pos: dict[str, tuple[int, int]] = {}
+        entries: dict = {}
         if self._next() == "}":
             self.pos += 1
-            return JValue(entries, line, col, key_pos)
+            return entries
         while True:
             if self._next() != '"':
                 self._fail("expected object key")
-            where = self.diags.where(self.pos)
+            start = self.pos
             key = self._string()
             if key in entries:
                 self._fail(f"duplicate key {key!r}")
             if self._next() != ":":
                 self._fail("expected ':'")
             self.pos += 1
-            entries[key] = self._value(depth)
-            key_pos[key] = where
+            self.starts[path + (key,), True] = start
+            entries[key] = self._value(path + (key,))
             if not self._more("}"):
-                return JValue(entries, line, col, key_pos)
+                return entries
 
-    def _array(self, line, col, depth) -> JValue:
+    def _array(self, path) -> list:
         self.pos += 1
-        items: list[JValue] = []
+        items: list = []
         if self._next() == "]":
             self.pos += 1
-            return JValue(items, line, col)
+            return items
         while True:
-            items.append(self._value(depth))
+            items.append(self._value(path + (len(items),)))
             if not self._more("]"):
-                return JValue(items, line, col)
+                return items
 
 
-def _expect(diags, jv: JValue, types, what: str):
-    if not isinstance(jv.value, types):
-        names = {dict: "object", list: "array", str: "string", float: "number",
-                 bool: "boolean"}
-        wanted = names.get(types if not isinstance(types, tuple) else types[0], "value")
-        diags.error(f"{what} must be a {wanted}", jv.line, jv.column)
+class _Issues(list):
+    """Schema diagnostics: (message, key path, at the key rather than its value)."""
+
+    def __call__(self, message: str, path: tuple, key=False) -> bool:
+        self.append((message, path, key))
         return False
-    return True
 
 
-def _check_keys(diags, jv: JValue, required, optional=()):
-    ok = True
+def _read(text: str, schema, *args):
+    """``schema(document, issues, *args)`` of a JSON text if it reports no
+    issue; otherwise DslParseError with the first syntax error, or with
+    every issue at its line and column."""
+    reader = None
+    try:
+        doc = _DECODER.decode(text)
+    except (ValueError, RecursionError):
+        reader = _JsonReader(text)
+        doc = reader.parse()  # raises the positioned syntax error
+    issues = _Issues()
+    result = schema(doc, issues, *args)
+    if not issues:
+        return result
+    if reader is None:
+        reader = _JsonReader(text)
+        reader.parse()  # nesting deeper than MAX_NESTING comes first
+    raise DslParseError([reader.error(*issue) for issue in issues])
+
+
+_TYPE_NAMES = {dict: "object", list: "array", str: "string", float: "number"}
+
+
+def _expect(issues, value, kind, what: str, path) -> bool:
+    return isinstance(value, kind) or issues(f"{what} must be a {_TYPE_NAMES[kind]}", path)
+
+
+def _check_keys(issues, obj: dict, path, required, optional=()) -> bool:
+    before = len(issues)
     for key in required:
-        if key not in jv.value:
-            diags.error(f"missing key {key!r}", jv.line, jv.column)
-            ok = False
-    for key in jv.value:
+        if key not in obj:
+            issues(f"missing key {key!r}", path)
+    for key in obj:
         if key not in required and key not in optional:
-            line, col = jv.key_pos[key]
-            diags.error(f"unknown key {key!r}", line, col)
-            ok = False
-    return ok
+            issues(f"unknown key {key!r}", path + (key,), True)
+    return len(issues) == before
 
 
 # --- world files -------------------------------------------------------------
@@ -242,107 +274,90 @@ def parse_world(text: str) -> tuple[SituationModel, VagueLexicon]:
     Raises DslParseError carrying SourceDiagnostic entries on syntax
     errors, schema violations, or invariant violations.
     """
-    diags = _Diagnostics(text)
-    doc = _JsonReader(text, diags).parse()
-    if not _expect(diags, doc, dict, "world document"):
-        diags.raise_if_any()
-    if not _check_keys(diags, doc, ("pixies", "variables", "joint", "predicates")):
-        diags.raise_if_any()
+    return _read(text, _world)
 
-    pixies: list[str] = []
-    jv = doc.value["pixies"]
-    if _expect(diags, jv, list, "'pixies'"):
-        for item in jv.value:
-            if _expect(diags, item, str, "pixie"):
-                if item.value in pixies:
-                    diags.error(f"duplicate pixie {item.value!r}", item.line, item.column)
-                pixies.append(item.value)
-        if not jv.value:
-            diags.error("pixie space must be non-empty", jv.line, jv.column)
 
-    variables: list[str] = []
-    jv = doc.value["variables"]
-    if _expect(diags, jv, list, "'variables'"):
-        for item in jv.value:
-            if _expect(diags, item, str, "variable"):
-                if item.value in variables:
-                    diags.error(f"duplicate variable {item.value!r}", item.line, item.column)
-                variables.append(item.value)
-    diags.raise_if_any()
+def _names(issues, doc: dict, key: str, what: str) -> dict[str, None]:
+    """The strings listed under ``key``, as an ordered set; a repeated one
+    is an issue."""
+    names: dict[str, None] = {}
+    if _expect(issues, doc[key], list, f"'{key}'", (key,)):
+        for k, item in enumerate(doc[key]):
+            if _expect(issues, item, str, what, (key, k)):
+                if item in names:
+                    issues(f"duplicate {what} {item!r}", (key, k))
+                names[item] = None
+    return names
+
+
+def _world(doc, issues):
+    if not (_expect(issues, doc, dict, "world document", ())
+            and _check_keys(issues, doc, (), ("pixies", "variables", "joint", "predicates"))):
+        return None
+    pixies = _names(issues, doc, "pixies", "pixie")
+    if doc["pixies"] == []:
+        issues("pixie space must be non-empty", ("pixies",))
+    variables = _names(issues, doc, "variables", "variable")
+    if issues:
+        return None
 
     joint: list[tuple[tuple[str, ...], float]] = []
     seen_assignments = set()
     total = 0.0
-    jv = doc.value["joint"]
-    if _expect(diags, jv, list, "'joint'"):
-        for entry in jv.value:
-            if not _expect(diags, entry, dict, "joint entry"):
-                continue
-            if not _check_keys(diags, entry, ("assign", "prob")):
-                continue
-            assign_jv = entry.value["assign"]
-            prob_jv = entry.value["prob"]
-            if not _expect(diags, assign_jv, dict, "'assign'"):
-                continue
-            if not _expect(diags, prob_jv, float, "'prob'"):
+    if _expect(issues, doc["joint"], list, "'joint'", ("joint",)):
+        for k, entry in enumerate(doc["joint"]):
+            at = ("joint", k)
+            if not (_expect(issues, entry, dict, "joint entry", at)
+                    and _check_keys(issues, entry, at, ("assign", "prob"))
+                    and _expect(issues, entry["assign"], dict, "'assign'", at + ("assign",))
+                    and _expect(issues, entry["prob"], float, "'prob'", at + ("prob",))):
                 continue
             assignment = {}
-            for var, pixie_jv in assign_jv.value.items():
-                line, col = assign_jv.key_pos[var]
+            for var, pixie in entry["assign"].items():
+                where = at + ("assign", var)
                 if var not in variables:
-                    diags.error(f"unknown variable {var!r} in assignment", line, col)
-                    continue
-                if not _expect(diags, pixie_jv, str, "assigned pixie"):
-                    continue
-                if pixie_jv.value not in pixies:
-                    diags.error(
-                        f"unknown pixie {pixie_jv.value!r}", pixie_jv.line, pixie_jv.column
-                    )
-                    continue
-                assignment[var] = pixie_jv.value
+                    issues(f"unknown variable {var!r} in assignment", where, True)
+                elif _expect(issues, pixie, str, "assigned pixie", where):
+                    if pixie in pixies:
+                        assignment[var] = pixie
+                    else:
+                        issues(f"unknown pixie {pixie!r}", where)
             missing = [v for v in variables if v not in assignment]
             if missing:
-                diags.error(
-                    f"assignment missing variables {missing}", entry.line, entry.column
-                )
+                issues(f"assignment missing variables {missing}", at)
                 continue
             key = tuple(assignment[v] for v in variables)
             if key in seen_assignments:
-                diags.error(f"duplicate assignment {key}", entry.line, entry.column)
+                issues(f"duplicate assignment {key}", at)
                 continue
             seen_assignments.add(key)
-            mass = prob_jv.value
+            mass = entry["prob"]
             if mass < 0:
-                diags.error(f"probability {mass} is negative", prob_jv.line, prob_jv.column)
+                issues(f"probability {mass} is negative", at + ("prob",))
                 continue
             total += mass
             joint.append((key, mass))
-        if not diags.items and abs(total - 1.0) > MASS_TOL:
-            diags.error(f"joint mass {total:.12g} ≠ 1", jv.line, jv.column)
+        if not issues and abs(total - 1.0) > MASS_TOL:
+            issues(f"joint mass {total:.12g} ≠ 1", ("joint",))
 
     predicates: dict[str, VaguePredicate] = {}
-    jv = doc.value["predicates"]
-    if _expect(diags, jv, dict, "'predicates'"):
-        for name, table_jv in jv.value.items():
-            if not _expect(diags, table_jv, dict, f"predicate {name!r}"):
+    if _expect(issues, doc["predicates"], dict, "'predicates'", ("predicates",)):
+        for name, entries in doc["predicates"].items():
+            if not _expect(issues, entries, dict, f"predicate {name!r}", ("predicates", name)):
                 continue
             table = {}
-            for pixie, p_jv in table_jv.value.items():
-                line, col = table_jv.key_pos[pixie]
+            for pixie, p in entries.items():
+                where = ("predicates", name, pixie)
                 if pixie not in pixies:
-                    diags.error(f"unknown pixie {pixie!r}", line, col)
-                    continue
-                if not _expect(diags, p_jv, float, "predicate probability"):
-                    continue
-                if not 0.0 <= p_jv.value <= 1.0:
-                    diags.error(
-                        f"probability {p_jv.value} outside [0, 1]", p_jv.line, p_jv.column
-                    )
-                    continue
-                table[pixie] = p_jv.value
+                    issues(f"unknown pixie {pixie!r}", where, True)
+                elif _expect(issues, p, float, "predicate probability", where):
+                    if 0.0 <= p <= 1.0:
+                        table[pixie] = p
+                    else:
+                        issues(f"probability {p} outside [0, 1]", where)
             predicates[name] = VaguePredicate(name, table)
-    diags.raise_if_any()
-
+    if issues:
+        return None
     model = SituationModel(PixieSpace(tuple(pixies)), tuple(variables), tuple(joint))
     return model, VagueLexicon(predicates)
 
@@ -580,136 +595,100 @@ def serialize_prop(graph: ScopeGraph) -> str:
 
 # --- scenarios ----------------------------------------------------------------
 
-def _load_prop_source(value: str, base_dir: Path, diags, line, col):
-    text = value.strip()
-    if text.startswith("(") or text == "true" or text.startswith("#"):
-        return value, None
-    path = base_dir / value
-    if not path.is_file():
-        diags.error(f"proposition file not found: {value}", line, col)
-        return None, None
-    return path.read_text(), str(path)
-
-
 def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
     """Parse a scenario file, loading state worlds by relative path and
     cross-validating every utterance against every state's world."""
-    base_dir = Path(base_dir)
-    diags = _Diagnostics(text)
-    doc = _JsonReader(text, diags).parse()
-    if not _expect(diags, doc, dict, "scenario document"):
-        diags.raise_if_any()
-    _check_keys(diags, doc, ("states", "utterances"), optional=("alpha", "engine"))
-    diags.raise_if_any()
+    return _read(text, _scenario, Path(base_dir))
 
-    alpha = math.inf
-    if "alpha" in doc.value:
-        a_jv = doc.value["alpha"]
-        if a_jv.value == "inf":
-            alpha = math.inf
-        elif isinstance(a_jv.value, float) and a_jv.value > 0:
-            alpha = a_jv.value
-        else:
-            diags.error("alpha must be a positive number or \"inf\"", a_jv.line, a_jv.column)
 
-    engine = EXACT
-    if "engine" in doc.value:
-        e_jv = doc.value["engine"]
-        if _expect(diags, e_jv, str, "'engine'") and e_jv.value not in ENGINES:
-            diags.error(f"unknown engine {e_jv.value!r}", e_jv.line, e_jv.column)
-        engine = e_jv.value  # only used if no diagnostic was recorded
+def _entries(issues, doc: dict, key: str, what: str, required, optional, strings):
+    """Each object listed under ``key`` that has the keys it must, no others,
+    and strings at ``strings``, with its path."""
+    if not _expect(issues, doc[key], list, f"'{key}'", (key,)):
+        return
+    if not doc[key]:
+        issues(f"scenario needs at least one {what}", (key,))
+    for k, entry in enumerate(doc[key]):
+        at = (key, k)
+        if (_expect(issues, entry, dict, what, at)
+                and _check_keys(issues, entry, at, required, optional)
+                and all([_expect(issues, entry[s], str, f"'{s}'", at + (s,)) for s in strings])):
+            yield at, entry
+
+
+def _scenario(doc, issues, base_dir: Path):
+    if not (_expect(issues, doc, dict, "scenario document", ())
+            and _check_keys(issues, doc, (), ("states", "utterances"), ("alpha", "engine"))):
+        return None
+    alpha = doc.get("alpha", "inf")
+    if alpha == "inf":
+        alpha = math.inf
+    elif not isinstance(alpha, float) or alpha <= 0:
+        issues("alpha must be a positive number or \"inf\"", ("alpha",))
+    engine = doc.get("engine", EXACT)  # only used if no issue was recorded
+    if _expect(issues, engine, str, "'engine'", ("engine",)) and engine not in ENGINES:
+        issues(f"unknown engine {engine!r}", ("engine",))
 
     states: list[RsaState] = []
-    jv = doc.value["states"]
-    if _expect(diags, jv, list, "'states'"):
-        if not jv.value:
-            diags.error("scenario needs at least one state", jv.line, jv.column)
-        for s_jv in jv.value:
-            if not _expect(diags, s_jv, dict, "state"):
-                continue
-            if not _check_keys(diags, s_jv, ("id", "prior", "world"), optional=("scheme",)):
-                continue
-            if not all([_expect(diags, s_jv.value[k], str, f"'{k}'") for k in ("id", "world")]):
-                continue
-            sid = s_jv.value["id"].value
-            prior = s_jv.value["prior"].value
-            world_rel = s_jv.value["world"].value
-            scheme = LiftScheme.INDEPENDENT
-            if "scheme" in s_jv.value:
-                sch_jv = s_jv.value["scheme"]
-                if not _expect(diags, sch_jv, str, "'scheme'"):
-                    continue
-                if sch_jv.value not in {s.value for s in LiftScheme}:
-                    diags.error(f"unknown scheme {sch_jv.value!r}", sch_jv.line, sch_jv.column)
-                    continue
-                scheme = LiftScheme(sch_jv.value)
-            if not isinstance(prior, float) or prior < 0:
-                p_jv = s_jv.value["prior"]
-                diags.error("prior must be a non-negative number", p_jv.line, p_jv.column)
-                continue
-            path = base_dir / world_rel
-            if not path.is_file():
-                w_jv = s_jv.value["world"]
-                diags.error(f"world file not found: {world_rel}", w_jv.line, w_jv.column)
-                continue
+    for at, state in _entries(issues, doc, "states", "state", ("id", "prior", "world"),
+                              ("scheme",), ("id", "world")):
+        scheme, prior, world = state.get("scheme", "independent"), state["prior"], state["world"]
+        if not _expect(issues, scheme, str, "'scheme'", at + ("scheme",)):
+            continue
+        if scheme not in {s.value for s in LiftScheme}:
+            issues(f"unknown scheme {scheme!r}", at + ("scheme",))
+        elif not isinstance(prior, float) or prior < 0:
+            issues("prior must be a non-negative number", at + ("prior",))
+        elif not (base_dir / world).is_file():
+            issues(f"world file not found: {world}", at + ("world",))
+        else:
             try:
-                model, lexicon = parse_world(path.read_text())
+                model, lexicon = parse_world((base_dir / world).read_text())
             except DslParseError as exc:
-                w_jv = s_jv.value["world"]
                 for d in exc.diagnostics:
-                    diags.error(f"in {world_rel}: {d.message}", w_jv.line, w_jv.column)
+                    issues(f"in {world}: {d.message}", at + ("world",))
                 continue
-            states.append(RsaState(sid, prior, World(model, lexicon, scheme)))
+            states.append(RsaState(state["id"], prior, World(model, lexicon, LiftScheme(scheme))))
 
     utterances: list[RsaUtterance] = []
-    jv = doc.value["utterances"]
-    if _expect(diags, jv, list, "'utterances'"):
-        if not jv.value:
-            diags.error("scenario needs at least one utterance", jv.line, jv.column)
-        for u_jv in jv.value:
-            if not _expect(diags, u_jv, dict, "utterance"):
+    for at, utterance in _entries(issues, doc, "utterances", "utterance", ("id", "prop"),
+                                  ("cost",), ("id", "prop")):
+        cost, prop = utterance.get("cost", 0.0), utterance["prop"]
+        source, origin = prop, "inline proposition"
+        inline = prop.strip().startswith(("(", "#")) or prop.strip() == "true"
+        if not isinstance(cost, float) or cost < 0:
+            issues("cost must be a non-negative number", at + ("cost",))
+            continue
+        if not math.isfinite(cost):
+            issues("cost must be finite", at + ("cost",))
+            continue
+        if not inline:
+            if not (base_dir / prop).is_file():
+                issues(f"proposition file not found: {prop}", at + ("prop",))
                 continue
-            if not _check_keys(diags, u_jv, ("id", "prop"), optional=("cost",)):
-                continue
-            if not all([_expect(diags, u_jv.value[k], str, f"'{k}'") for k in ("id", "prop")]):
-                continue
-            uid = u_jv.value["id"].value
-            cost = 0.0
-            if "cost" in u_jv.value:
-                c_jv = u_jv.value["cost"]
-                if not isinstance(c_jv.value, float) or c_jv.value < 0:
-                    diags.error("cost must be a non-negative number", c_jv.line, c_jv.column)
-                    continue
-                if not math.isfinite(c_jv.value):
-                    diags.error("cost must be finite", c_jv.line, c_jv.column)
-                    continue
-                cost = c_jv.value
-            p_jv = u_jv.value["prop"]
-            source, origin = _load_prop_source(p_jv.value, base_dir, diags, p_jv.line, p_jv.column)
-            if source is None:
-                continue
-            try:
-                graph = parse_prop(source)
-            except DslParseError as exc:
-                where = origin or "inline proposition"
-                for d in exc.diagnostics:
-                    diags.error(f"in {where}: {d.message}", p_jv.line, p_jv.column)
-                continue
-            utterances.append(RsaUtterance(uid, graph, cost))
-    diags.raise_if_any()
+            source, origin = (base_dir / prop).read_text(), str(base_dir / prop)
+        try:
+            utterances.append(RsaUtterance(utterance["id"], parse_prop(source), cost))
+        except DslParseError as exc:
+            for d in exc.diagnostics:
+                issues(f"in {origin}: {d.message}", at + ("prop",))
+    if issues:
+        return None
     try:
         scenario = RsaScenario(tuple(states), tuple(utterances), alpha, engine)
     except ValueError as exc:
-        diags.fail(str(exc), doc.line, doc.column)
+        issues(str(exc), ())
+        return None
 
+    # validate reads only the names of a world's variables and predicates
+    vocabularies = [(frozenset(s.world.model.variables), frozenset(s.world.lexicon.predicates))
+                    for s in states]
     for utterance in utterances:
-        for state in states:
-            issues = validate(utterance.graph, state.world.model, state.world.lexicon)
-            for issue in issues:
-                diags.error(
-                    f"utterance {utterance.id!r} invalid in state {state.id!r}: {issue}",
-                    doc.line,
-                    doc.column,
-                )
-    diags.raise_if_any()
+        found = {}
+        for state, vocabulary in zip(states, vocabularies):
+            if vocabulary not in found:
+                found[vocabulary] = validate(utterance.graph, state.world.model,
+                                             state.world.lexicon)
+            for issue in found[vocabulary]:
+                issues(f"utterance {utterance.id!r} invalid in state {state.id!r}: {issue}", ())
     return scenario

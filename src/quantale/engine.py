@@ -126,8 +126,7 @@ class _Core:
                  generic_empty=1.0, crisp=False):
         self.graph = graph
         self.generic_empty = generic_empty
-        memo: dict[int, frozenset[str]] = {}
-        self.order = validated_order(graph, model, lexicon, memo)
+        self.order, free = validated_order(graph, model, lexicon)
         quantifiers = [i for i in self.order if isinstance(graph.nodes[i], Quantifier)]
         self.vague = [i for i in quantifiers if not is_precise(graph.nodes[i].kind)]
         # crisp: every table a quantifier reads holds 0s and 1s, as bits,
@@ -168,7 +167,7 @@ class _Core:
             elif isinstance(node, Quantifier):
                 self.last_use.update({node.restriction: pos, node.body: pos})
                 # (order, starts, sizes, group, one mass per group or None)
-                *runs, mass = model.groups(variables, sorted(memo[i]))
+                *runs, mass = model.groups(variables, sorted(free[i]))
                 self.groups[i] = (*runs, mass if crisp else None)
         self.psi = np.zeros(read.shape)
         for k, name in enumerate(self.names):
@@ -540,7 +539,8 @@ def compare_generic(graph: ScopeGraph, model: SituationModel,
                     generic_empty: float = 1.0) -> GenericComparison:
     """Expectation-over-configurations value versus the fast-path value.
     Every quantifier reachable from the root must be generic."""
-    for i in sorted(validated_order(graph, model, lexicon)):
+    order, _ = validated_order(graph, model, lexicon)
+    for i in sorted(order):
         node = graph.nodes[i]
         if isinstance(node, Quantifier) and node.kind is not QuantifierKind.GENERIC:
             raise PreciseQuantifierInFastPath(

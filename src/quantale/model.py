@@ -31,19 +31,23 @@ class PixieSpace:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("pixie space must be non-empty")
-        if len(set(self.elements)) != len(self.elements):
+        if len(self._members) != len(self.elements):
             raise ValueError("pixie identifiers must be unique")
 
+    @cached_property
+    def _members(self) -> frozenset[str]:
+        return frozenset(self.elements)
+
     def __contains__(self, pixie):
-        return pixie in self.elements
+        return pixie in self._members
 
     def __eq__(self, other):
         if not isinstance(other, PixieSpace):
             return NotImplemented
-        return set(self.elements) == set(other.elements)
+        return self._members == other._members
 
     def __hash__(self):
-        return hash(frozenset(self.elements))
+        return hash(self._members)
 
 
 def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

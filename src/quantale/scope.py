@@ -12,6 +12,7 @@ legal and turns the tree into a DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CycleDetected, ValidationFailed
 from .quant import QuantifierKind, ShapeSpec
@@ -74,57 +75,92 @@ class ScopeGraph:
             stack.extend(children(self.nodes[i]))
         return seen
 
+    @cached_property
+    def _analysis(self) -> tuple:
+        """The part of validation that reads only the graph, done once:
+        (diagnostics that end it before the node checks, the topological
+        order, the free variables of every reachable node, the predicates
+        and the variables the reachable nodes name, and whether the node
+        checks pass once every such name is known).  The nodes are frozen
+        and the aliases are not read, so it holds unless ``nodes`` is a list
+        that changes later."""
+        diagnostics = [f"node {i} references missing node {c}"
+                       for i, n in enumerate(self.nodes) for c in children(n)
+                       if not 0 <= c < len(self.nodes)]
+        if not 0 <= self.root < len(self.nodes):
+            diagnostics.append(f"root index {self.root} out of range")
+        if diagnostics:
+            return diagnostics, None, None, None, None, False
+        try:
+            order = topological_order(self)
+        except CycleDetected as exc:
+            return [str(exc)], None, None, None, None, False
+        free: dict[int, frozenset[str]] = {}
+        free_vars(self, self.root, free)
+        predicates, variables, sound = set(), set(), not free[self.root]
+        for i in order:
+            n = self.nodes[i]
+            if isinstance(n, Application):
+                predicates.add(n.predicate)
+                variables.add(n.variable)
+            elif isinstance(n, Conjunction):
+                sound = sound and bool(n.children)
+            elif isinstance(n, Quantifier):
+                variables.update(n.bound)
+                sound = sound and bool(n.bound) and len(set(n.bound)) == len(n.bound)
+        return [], order, free, predicates, variables, sound
 
 def free_vars(graph: ScopeGraph, node: int, _memo: dict | None = None) -> frozenset[str]:
     """Free variables of a node.
 
     Leaves mention their own variables; a conjunction takes the union of
     its children; a quantifier takes the union of restriction and body
-    minus its bound variables.  Stable under node sharing.
+    minus its bound variables.  Stable under node sharing.  The walk keeps
+    its own stack, so a deep graph needs no recursion.
     """
     memo = _memo if _memo is not None else {}
-    if node in memo:
-        return memo[node]
-    memo[node] = frozenset()  # cycle guard; validated separately
-    n = graph.nodes[node]
-    if isinstance(n, Tautology):
-        result = frozenset()
-    elif isinstance(n, Application):
-        result = frozenset({n.variable})
-    elif isinstance(n, Conjunction):
-        result = frozenset().union(
-            *(free_vars(graph, c, memo) for c in n.children)
-        )
-    else:
-        below = free_vars(graph, n.restriction, memo) | free_vars(graph, n.body, memo)
-        result = below - set(n.bound)
-    memo[node] = result
-    return result
+    stack = [(node, False)]  # (node, children done)
+    while stack:
+        i, done = stack.pop()
+        n = graph.nodes[i]
+        if not done:
+            if i not in memo:
+                memo[i] = frozenset()  # a tautology's; else a cycle guard
+                stack.append((i, True))
+                stack.extend((c, False) for c in reversed(children(n)))
+        elif isinstance(n, Application):
+            memo[i] = frozenset({n.variable})
+        elif isinstance(n, Conjunction):
+            memo[i] = frozenset().union(*(memo[c] for c in n.children))
+        elif isinstance(n, Quantifier):
+            memo[i] = (memo[n.restriction] | memo[n.body]) - set(n.bound)
+    return memo[node]
 
 
 def topological_order(graph: ScopeGraph) -> list[int]:
     """Reachable nodes ordered children-first; deterministic.
 
     Raises CycleDetected if the reachable subgraph is cyclic or refers to
-    a missing node.
+    a missing node.  The walk keeps its own stack, like ``free_vars``.
     """
     order: list[int] = []
     placed: dict[int, bool] = {}  # False while on the walk's path
-
-    def visit(i):
-        if i in placed:
+    stack = [(graph.root, False)]  # (node, children done)
+    while stack:
+        i, done = stack.pop()
+        if done:
+            placed[i] = True
+            order.append(i)
+        elif i in placed:
             if not placed[i]:
                 raise CycleDetected("scope graph contains a cycle")
-            return
-        placed[i] = False
-        for c in children(graph.nodes[i]):
-            if not 0 <= c < len(graph.nodes):
-                raise CycleDetected("scope graph contains a cycle")
-            visit(c)
-        placed[i] = True
-        order.append(i)
-
-    visit(graph.root)
+        else:
+            placed[i] = False
+            stack.append((i, True))
+            for c in reversed(children(graph.nodes[i])):
+                if not 0 <= c < len(graph.nodes):
+                    raise CycleDetected("scope graph contains a cycle")
+                stack.append((c, False))
     return order
 
 
@@ -141,26 +177,20 @@ def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
     return []
 
 
-def validated_order(graph: ScopeGraph, model, lexicon, memo: dict | None = None) -> list[int]:
-    """``topological_order`` of a graph that ``validate`` accepts, from the
-    same walk; raises ValidationFailed with the diagnostics otherwise.
+def validated_order(graph: ScopeGraph, model, lexicon):
+    """``topological_order`` of a graph that ``validate`` accepts, and the
+    free variables of every reachable node (shared: do not change them);
+    raises ValidationFailed with the diagnostics otherwise.
 
-    The free variables of every reachable node are left in ``memo``, the
-    ``free_vars`` memo, when one is given."""
+    The walks are done once per graph (``ScopeGraph._analysis``); each
+    call checks the names the graph uses against the model and lexicon."""
+    fatal, order, free, predicates, variables, sound = graph._analysis
+    if fatal:
+        raise ValidationFailed(list(fatal))
+    if (sound and all(p in lexicon for p in predicates)
+            and all(v in model.variables for v in variables)):
+        return order, free
     diagnostics: list[str] = []
-    for i, n in enumerate(graph.nodes):
-        for c in children(n):
-            if not 0 <= c < len(graph.nodes):
-                diagnostics.append(f"node {i} references missing node {c}")
-    if not 0 <= graph.root < len(graph.nodes):
-        diagnostics.append(f"root index {graph.root} out of range")
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
-    try:
-        order = topological_order(graph)
-    except CycleDetected as exc:
-        raise ValidationFailed([str(exc)]) from None
-
     for i in sorted(order):
         n = graph.nodes[i]
         if isinstance(n, Application):
@@ -179,10 +209,7 @@ def validated_order(graph: ScopeGraph, model, lexicon, memo: dict | None = None)
             for v in n.bound:
                 if v not in model.variables:
                     diagnostics.append(f"unknown variable {v!r} bound at node {i}")
-    open_vars = free_vars(graph, graph.root, memo)
-    if open_vars:
-        listing = ", ".join(sorted(open_vars))
+    if free[graph.root]:
+        listing = ", ".join(sorted(free[graph.root]))
         diagnostics.append(f"root has free variables {{{listing}}}")
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
-    return order
+    raise ValidationFailed(diagnostics)

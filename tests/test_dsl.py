@@ -1,6 +1,9 @@
 import math
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quantale as q
 from quantale import dsl
@@ -216,6 +219,120 @@ def test_escaped_surrogate_pair_is_one_character():
     assert model.space.elements == ("\U0001F600",)
 
 
+def test_json_digits_are_ascii():
+    # float() would read the Arabic-Indic three as 3; JSON digits are 0-9
+    (diag,) = diagnostics_of(q.parse_world, '{"pixies": [1\u0663]}')
+    assert (diag.message, diag.line, diag.column) == ("expected ',' or ']'", 1, 14)
+
+
+def test_nesting_inside_an_otherwise_valid_world():
+    # the C scanner accepts 101 levels; the schema refuses the unknown key and
+    # the positioned reader then reports the depth, before the schema issue
+    deep = "[" * 100 + "]" * 100
+    text = _world(predicates=f'{{"p": {{"a": 0.5}}}},\n  "deep": {deep}')
+    dsl._DECODER.decode(text)
+    (diag,) = diagnostics_of(q.parse_world, text)
+    assert (diag.message, diag.line, diag.column) == (
+        f"nesting deeper than {dsl.MAX_NESTING} levels", 6, 110)
+
+
+# --- the C scanner against the positioned reader --------------------------------
+
+FIXTURE_JSON = [p.read_text() for p in sorted(FIXTURES.glob("*.json"))]
+_KEY = re.compile(r'"(?:[^"\\]|\\.)*"\s*:')
+_SCALAR = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d[\d.eE+-]*|true|false|null')
+_VALUES = ["1", "0", "-0", "1.5", "-1", "2", "1e400", "-1e400", "1E2", '"s"', '"inf"', "true",
+           "false", "null", "[]", "{}", "[1]", '{"a": 1}', "NaN", "Infinity", "-Infinity",
+           "1\u0663", "\u0663"]
+
+
+def _truncate(draw, text):
+    return text[:draw(st.integers(0, len(text)))]
+
+
+def _duplicate_key(draw, text):
+    # a second member with the same key just before a key, at any depth
+    keys = list(_KEY.finditer(text))
+    if not keys:
+        return text
+    m = draw(st.sampled_from(keys))
+    return text[:m.start()] + m.group() + " 0, " + text[m.start():]
+
+
+def _swap_value(draw, text):
+    scalars = list(_SCALAR.finditer(text))
+    if not scalars:
+        return text
+    m = draw(st.sampled_from(scalars))
+    return text[:m.start()] + draw(st.sampled_from(_VALUES)) + text[m.end():]
+
+
+def _integer_probabilities(draw, text):
+    return re.sub(r"(\d)\.0\b", r"\1", text)
+
+
+def _control_character(draw, text):
+    quotes = [k for k, ch in enumerate(text) if ch == '"'] or [0]
+    k = draw(st.sampled_from(quotes)) + 1
+    return text[:k] + draw(st.sampled_from("\x00\x01\x1f\x7f\t\n")) + text[k:]
+
+
+def _bom(draw, text):
+    return "\ufeff" + text
+
+
+def _nest(draw, text):
+    depth = draw(st.sampled_from([99, 100, 101, 150, 1200]))
+    k = text.find("{") + 1
+    return text[:k] + f'"deep": {"[" * depth}{"]" * depth}, ' + text[k:]
+
+
+@st.composite
+def mutated_json(draw):
+    text = draw(st.sampled_from(FIXTURE_JSON))
+    mutations = [_truncate, _duplicate_key, _swap_value, _integer_probabilities,
+                 _control_character, _bom, _nest]
+    for mutate in draw(st.lists(st.sampled_from(mutations), min_size=1, max_size=3)):
+        text = mutate(draw, text)
+    return text
+
+
+class _ReaderOnly:
+    """Refuses every text in place of the C scanner, so that each one is
+    read by the positioned reader."""
+
+    @staticmethod
+    def decode(text):
+        raise ValueError("refused")
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", repr(parse(*args))
+    except DslParseError as exc:
+        return "error", [(d.message, d.line, d.column, d.snippet) for d in exc.diagnostics]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_json())
+def test_c_scanner_and_positioned_reader_agree(text):
+    try:
+        scanned = "ok", repr(dsl._DECODER.decode(text))
+    except (ValueError, RecursionError):
+        scanned = "error", None
+    try:
+        read = "ok", repr(dsl._JsonReader(text).parse())
+    except DslParseError as exc:
+        read = "error", exc.diagnostics[0].message
+    # only the depth limit is the reader's own
+    if read[1] != f"nesting deeper than {dsl.MAX_NESTING} levels":
+        assert scanned[0] == read[0] and (read[0] == "error" or scanned == read)
+    for parse, args in ((q.parse_world, (text,)), (q.parse_scenario, (text, FIXTURES))):
+        fast = _outcome(parse, *args)
+        with mock.patch.object(dsl, "_DECODER", _ReaderOnly):
+            assert _outcome(parse, *args) == fast
+
+
 # --- propositions --------------------------------------------------------------
 
 def test_parse_prop_simple():
@@ -421,6 +538,28 @@ def test_scenario_cross_validation_names_both_sides(tmp_path):
         and "unknown predicate 'blue'" in d.message
         for d in diags
     )
+
+
+def test_scenario_validates_once_per_utterance_and_vocabulary(tmp_path, monkeypatch):
+    red = (FIXTURES / "red.world.json").read_text()
+    (tmp_path / "red.world.json").write_text(red)
+    (tmp_path / "red2.world.json").write_text(red.replace("0.7", "0.5"))
+    (tmp_path / "dog.world.json").write_text((FIXTURES / "dog_barks.world.json").read_text())
+    text = """{
+  "states": [{"id": "a", "prior": 0.25, "world": "red.world.json"},
+             {"id": "d", "prior": 0.25, "world": "dog.world.json"},
+             {"id": "b", "prior": 0.5, "world": "red2.world.json"}],
+  "utterances": [{"id": "u", "prop": "(some (x) true (blue x))"},
+                 {"id": "v", "prop": "true"}]
+}"""
+    calls = []
+    validate = dsl.validate
+    monkeypatch.setattr(dsl, "validate", lambda *args: calls.append(args) or validate(*args))
+    diags = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert [(d.message, d.line, d.column) for d in diags] == [
+        (f"utterance 'u' invalid in state {s!r}: unknown predicate 'blue' at node 1", 1, 1)
+        for s in ("a", "d", "b")]
+    assert len(calls) == 4  # (u, red), (u, dog), (v, red), (v, dog)
 
 
 def test_scenario_bad_alpha(tmp_path):

@@ -1,7 +1,9 @@
 import pytest
 
 import quantale as q
+from quantale import scope
 from quantale.errors import CycleDetected
+from quantale.scope import topological_order
 
 from conftest import load_prop, load_world, quant_over_tautology, red_world
 
@@ -141,3 +143,33 @@ def test_validate_returns_not_raises():
     graph = q.ScopeGraph((q.Conjunction((5,)),), root=0)
     diagnostics = q.validate(graph, model, lexicon)
     assert diagnostics == ["node 0 references missing node 5"]
+
+
+def test_a_deep_graph_built_in_code_evaluates():
+    # every (x) true over 1500 one-child conjunctions above (red x): the
+    # walks keep their own stacks, so depth needs no recursion
+    model, lexicon = load_world("red.world.json")
+    nodes = [q.Tautology(), q.Application("red", "x")]
+    for _ in range(1500):
+        nodes.append(q.Conjunction((len(nodes) - 1,)))
+    nodes.append(q.Quantifier(q.QuantifierKind.EVERY, ("x",), 0, len(nodes) - 1))
+    graph = q.ScopeGraph(tuple(nodes), root=len(nodes) - 1)
+    assert q.topological_order(graph) == list(range(len(nodes)))
+    assert q.free_vars(graph, len(nodes) - 2) == frozenset({"x"})
+    flat = q.parse_prop("(every (x) true (red x))")
+    assert q.eval_exact(graph, model, lexicon) == q.eval_exact(flat, model, lexicon)
+
+
+def test_the_graph_is_walked_once_and_names_are_checked_per_call(monkeypatch):
+    walks = []
+    monkeypatch.setattr(scope, "topological_order",
+                        lambda graph: walks.append(graph) or topological_order(graph))
+    graph = quant_over_tautology("every")
+    model, lexicon = red_world(0.5)
+    for _ in range(3):
+        q.eval_exact(graph, model, lexicon)
+        assert q.validate(graph, model, lexicon) == []
+    assert walks == [graph]
+    other = q.VagueLexicon({"blue": q.VaguePredicate("blue", {"x1": 1.0})})
+    assert q.validate(graph, model, other) == ["unknown predicate 'red' at node 1"]
+    assert walks == [graph]
