@@ -371,7 +371,7 @@ def serialize_world(model: SituationModel, lexicon: VagueLexicon) -> str:
     ]
     joint.sort(key=lambda row: tuple(row[0][v] for v in order))
     doc = {
-        "pixies": sorted(model.space.elements),
+        "pixies": list(model.space.elements),
         "variables": sorted(model.variables),
         "joint": [
             {"assign": {v: assign[v] for v in sorted(assign)}, "prob": mass}
@@ -558,6 +558,13 @@ def serialize_prop(graph: ScopeGraph) -> str:
     for name, idx in sorted(graph.aliases.items()):
         preferred.setdefault(idx, name)
     counter = 0
+    # each node's text from its children's, children first: a shared node
+    # appears by its alias, any other node's text once, in its one parent
+    text: dict[int, str] = {}
+
+    def ref(i) -> str:
+        return f"#{alias_of[i]}" if i in alias_of else text.pop(i)
+
     for i in order:
         if indegree[i] >= 2:
             name = preferred.get(i)
@@ -568,29 +575,20 @@ def serialize_prop(graph: ScopeGraph) -> str:
                 counter += 1
             taken.add(name)
             alias_of[i] = name
-
-    def render(i, as_definition=False) -> str:
-        if i in alias_of and not as_definition:
-            return f"#{alias_of[i]}"
         node = graph.nodes[i]
         if isinstance(node, Tautology):
-            return "true"
-        if isinstance(node, Application):
-            return f"({node.predicate} {node.variable})"
-        if isinstance(node, Conjunction):
-            return "(and " + " ".join(render(c) for c in node.children) + ")"
-        kind = node.kind.value if isinstance(node.kind, QuantifierKind) else "custom"
-        return (
-            f"({kind} ({' '.join(node.bound)}) "
-            f"{render(node.restriction)} {render(node.body)})"
-        )
-
+            text[i] = "true"
+        elif isinstance(node, Application):
+            text[i] = f"({node.predicate} {node.variable})"
+        elif isinstance(node, Conjunction):
+            text[i] = "(and " + " ".join(ref(c) for c in node.children) + ")"
+        else:
+            kind = node.kind.value if isinstance(node.kind, QuantifierKind) else "custom"
+            text[i] = f"({kind} ({' '.join(node.bound)}) {ref(node.restriction)} {ref(node.body)})"
     if not alias_of:
-        return render(graph.root) + "\n"
-    bindings = " ".join(
-        f"({alias_of[i]} {render(i, as_definition=True)})" for i in order if i in alias_of
-    )
-    return f"(let {bindings} {render(graph.root)})\n"
+        return text[graph.root] + "\n"
+    bindings = " ".join(f"({alias_of[i]} {text[i]})" for i in order if i in alias_of)
+    return f"(let {bindings} {text[graph.root]})\n"
 
 
 # --- scenarios ----------------------------------------------------------------

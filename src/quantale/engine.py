@@ -328,39 +328,20 @@ def _enumerated(core, scheme, cap):
     return math.fsum(np.concatenate(terms))
 
 
-def _expansion(values) -> list[float]:
-    """Non-overlapping floats whose sum is exactly the sum of ``values``
-    (Shewchuk 1997; the partials that ``math.fsum`` keeps)."""
-    partials: list[float] = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            high = x + y
-            low = y - (high - x)
-            if low:
-                partials[i] = low
-                i += 1
-            x = high
-        partials[i:] = [x]
-    return partials
+def _count_sums(counts, masses, fixed):
+    """Correctly rounded ``sum(fixed) + counts[s] @ masses`` per state s.
 
-
-def _count_sums(counts, masses, partials):
-    """Correctly rounded ``sum(partials) + counts[s] @ masses`` per state s.
-
-    Each mass is split into two halves of at most 26 significant bits
-    (Veltkamp), so a half times a count below 2**27 is exact and one
-    correctly rounded sum of the products gives the exact dot product.
+    Each mass is an integer over a power of two, so over the largest of
+    those denominators every sum is an exact integer; Python's integer
+    true division then rounds it correctly.
     """
-    big = masses * 134217729.0
-    high = big - (big - masses)
-    n = len(counts)
-    terms = np.concatenate([np.broadcast_to(partials, (n, len(partials))),
-                            counts * high, counts * (masses - high)], axis=1)
-    w = terms.shape[1]
-    return _fsum_runs(terms.ravel(), np.arange(n) * w, np.full(n, w))
+    ratios = [m.as_integer_ratio() for m in [*masses, *fixed]]
+    scale = max((d for _, d in ratios), default=1)
+    ints = [n * (scale // d) for n, d in ratios]
+    k = len(masses)
+    sums = counts.astype(np.int64).astype(object) @ np.array(ints[:k], dtype=object)
+    base = sum(ints[k:])
+    return np.array([(s + base) / scale for s in sums.tolist()], dtype=float)
 
 
 def _counted(core, cap):
@@ -373,9 +354,11 @@ def _counted(core, cap):
     count state says, per distinct mass of the rows with fractional
     cells, how many of them hold r and how many hold r and b; the other
     rows hold one outcome each.  A state's sums are the correctly rounded
-    ones that enumeration computes, and a convolution over the rows
-    (Poisson binomial) gives its probability.  A vague root is worth its
-    value f, since E[f >= theta] = f.
+    ones that enumeration computes (``_count_sums``), and a convolution
+    over the rows (Poisson binomial) gives its probability.  A vague root
+    is worth its value f, since E[f >= theta] = f.  The rows, and so the
+    classes and each convolution, come in pixie-name order (the sorted
+    ``space.elements``): equal models give equal bits.
     """
     root = core.graph.nodes[core.graph.root]
     psi = core.psi[:, next(iter(core.cells.values()))[1]]  # (predicates, rows)
@@ -414,8 +397,8 @@ def _counted(core, cap):
 
     # a row without fractional cells has one outcome, with q = 1
     fixed = cells == 0
-    den_fixed = _expansion(core.mass[fixed & (q[:, 0] == 0.0)].tolist())
-    num_fixed = _expansion(core.mass[fixed & (q[:, 2] == 1.0)].tolist())
+    den_fixed = core.mass[fixed & (q[:, 0] == 0.0)].tolist()
+    num_fixed = core.mass[fixed & (q[:, 2] == 1.0)].tolist()
     dists = []
     for rows in classes.values():
         # dist[a, k]: probability that a of the rows hold r and k hold r and b
@@ -428,9 +411,9 @@ def _counted(core, cap):
             dist = grown
         a, k = np.nonzero(dist)
         dists.append((a, k, dist[a, k]))
-    masses = np.array(list(classes))
+    masses = list(classes)
     total = math.prod(len(p) for _, _, p in dists)
-    step = max(1, CHUNK_CELLS // (2 * len(masses) + len(den_fixed) + len(num_fixed) + 1))
+    step = max(1, CHUNK_CELLS // (2 * len(masses) + 1))
     terms = []
     for start in range(0, total, step):
         state = np.arange(start, min(start + step, total))

@@ -24,15 +24,23 @@ MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PixieSpace:
-    """Finite ordered set of distinct pixie identifiers."""
+    """Finite set of distinct pixie identifiers.
+
+    ``elements`` is kept sorted in code-point order, whatever order it is
+    given in: every engine numbers pixies by their position in it, so two
+    equal spaces give equal bits.
+    """
 
     elements: tuple[str, ...]
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("pixie space must be non-empty")
+        if not all(isinstance(p, str) for p in self.elements):
+            raise ValueError("pixie identifiers must be strings")
         if len(self._members) != len(self.elements):
             raise ValueError("pixie identifiers must be unique")
+        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
 
     @cached_property
     def _members(self) -> frozenset[str]:
@@ -40,14 +48,6 @@ class PixieSpace:
 
     def __contains__(self, pixie):
         return pixie in self._members
-
-    def __eq__(self, other):
-        if not isinstance(other, PixieSpace):
-            return NotImplemented
-        return self._members == other._members
-
-    def __hash__(self):
-        return hash(self._members)
 
 
 def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -138,8 +138,8 @@ class SituationModel:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``codes[j, c]``, the index in ``space.elements`` of the pixie
-        that joint row j assigns to variable c, and ``mass[j]``."""
+        """``codes[j, c]``, the rank among the sorted pixie identifiers of
+        the pixie that joint row j assigns to variable c, and ``mass[j]``."""
         index = {p: k for k, p in enumerate(self.space.elements)}
         codes = np.array([index[p] for a, _ in self.joint for p in a], dtype=np.intp)
         mass = np.array([m for _, m in self.joint], dtype=float)
@@ -167,9 +167,9 @@ class SituationModel:
         """Sum joint mass over the eliminated variables.
 
         The result is keyed by tuples in the order given by ``vars``,
-        sorted by the pixies' positions in ``space.elements`` (first
-        variable first), zero masses included.  Each mass is correctly
-        rounded, so it does not depend on the order of the joint's rows.
+        sorted by pixie identifier (first variable first), zero masses
+        included.  Each mass is correctly rounded, so it does not depend on
+        the order of the joint's rows.
         """
         codes, mass = self._project(tuple(vars))
         names = self.space.elements
@@ -178,8 +178,9 @@ class SituationModel:
 
     def rows(self, vars) -> tuple[np.ndarray, np.ndarray]:
         """The positive-mass rows of ``marginal(vars)`` as read-only arrays:
-        pixie codes (rows x ``vars``, indices into ``space.elements``) and
-        masses.  With no variables there is one row, of mass 1."""
+        pixie codes (rows x ``vars``, indices into the sorted pixie
+        identifiers ``space.elements``) and masses.  With no variables
+        there is one row, of mass 1."""
         vars = tuple(vars)
         found = self._memo.get(("rows", vars))
         if found is None:

@@ -472,6 +472,34 @@ def test_serialize_prop_names_anonymous_shared_nodes():
     assert q.serialize_prop(graph) == "(let (n0 (red x)) (and #n0 #n0))\n"
 
 
+def _every_over_chain(links):
+    """``(every (x) true ...)`` over ``links`` chained one-child
+    conjunctions above ``(red x)``, built in code."""
+    nodes = [q.Tautology(), q.Application("red", "x")]
+    for _ in range(links):
+        nodes.append(q.Conjunction((len(nodes) - 1,)))
+    nodes.append(q.Quantifier(q.QuantifierKind.EVERY, ("x",), 0, len(nodes) - 1))
+    return q.ScopeGraph(tuple(nodes), root=len(nodes) - 1)
+
+
+def test_serialize_prop_of_a_deep_graph_built_in_code():
+    # each node's text is built from its children's, without recursion
+    model, lexicon = load_world("red.world.json")
+    graph = _every_over_chain(1500)
+    assert q.eval_exact(graph, model, lexicon).probability == 0.7
+    text = q.serialize_prop(graph)
+    assert text == "(every (x) true " + "(and " * 1500 + "(red x)" + ")" * 1501 + "\n"
+
+
+def test_serialize_prop_round_trips_the_deepest_chains():
+    # 99 and 100 nodes from the root down to (red x); parse_prop takes 100
+    for links in (97, 98):
+        graph = _every_over_chain(links)
+        text = q.serialize_prop(graph)
+        assert q.parse_prop(text) == graph
+        assert q.serialize_prop(q.parse_prop(text)) == text
+
+
 def test_serialized_prop_preserves_semantics(fixtures_dir, donkey_graph):
     model, lexicon = load_world("donkey_half.world.json")
     text = q.serialize_prop(donkey_graph)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quantale as q
+from quantale.rsa import meaning_matrix
 
 from conftest import quant_over_tautology
 from oracles import (
@@ -247,10 +248,10 @@ def test_run_sums_are_correctly_rounded(seed):
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_count_sums_are_correctly_rounded(seed):
-    # a count state's sums: rows without fractional cells through their
-    # exact expansion, plus k copies of each class mass; compared with
-    # math.fsum over every row's mass bit for bit
-    from quantale.engine import _count_sums, _expansion
+    # a count state's sums: the masses of rows without fractional cells,
+    # plus k copies of each class mass; compared with math.fsum over every
+    # row's mass bit for bit
+    from quantale.engine import _count_sums
 
     rng = random.Random(seed)
 
@@ -261,7 +262,7 @@ def test_count_sums_are_correctly_rounded(seed):
     masses = [mass() for _ in range(rng.randint(0, 4))]
     counts = [[rng.randint(0, 40) for _ in masses] for _ in range(rng.randint(1, 20))]
     got = _count_sums(np.array(counts, dtype=float).reshape(len(counts), len(masses)),
-                      np.array(masses), _expansion(fixed))
+                      np.array(masses), fixed)
     expected = [math.fsum(fixed + [m for m, k in zip(masses, row) for _ in range(k)])
                 for row in counts]
     assert got.tolist() == expected
@@ -470,6 +471,68 @@ def test_results_do_not_depend_on_the_order_of_joint_rows(seed):
     for size in range(1, len(variables) + 1):
         for vars in itertools.permutations(variables, size):
             assert permuted.marginal(vars) == model.marginal(vars)
+
+
+def _non_dyadic_world(rng, variables):
+    """A world over 3-6 pixies whose joint masses (weights 1:2:3 or
+    random, on a random subset of the cells) and vague values are not
+    dyadic, with at most 8 fractional cells."""
+    pixies = tuple(f"p{i}" for i in range(rng.randint(3, 6)))
+    cells = list(itertools.product(pixies, repeat=len(variables)))
+    cells = rng.sample(cells, rng.randint(min(len(cells), 3), len(cells)))
+    weights = [rng.choice((1.0, 2.0, 3.0, rng.random() + 0.05)) for _ in cells]
+    total = sum(weights)
+    model = q.SituationModel(q.PixieSpace(pixies), variables,
+                             tuple((c, w / total) for c, w in zip(cells, weights)))
+    cells = list(itertools.product(("P", "Q"), pixies))
+    fractional = rng.sample(cells, min(len(cells), 8))
+    tables = {n: {} for n in ("P", "Q")}
+    for name, px in cells:
+        values = (0.1, 0.3, 1 / 3, 0.7) if (name, px) in fractional else (0.0, 1.0)
+        tables[name][px] = rng.choice(values)
+    return model, q.VagueLexicon({n: q.VaguePredicate(n, t) for n, t in tables.items()})
+
+
+def _relisted(rng, model):
+    """An equal model that lists its pixies, its variables (with the
+    assignments' columns) and its joint rows in random orders."""
+    pixies = rng.sample(model.space.elements, len(model.space.elements))
+    order = rng.sample(range(len(model.variables)), len(model.variables))
+    joint = [(tuple(a[i] for i in order), m) for a, m in model.joint]
+    rng.shuffle(joint)
+    return q.SituationModel(q.PixieSpace(tuple(pixies)),
+                            tuple(model.variables[i] for i in order), tuple(joint))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_results_do_not_depend_on_how_the_model_is_listed(seed):
+    # equal models give equal bits: every engine and scheme, and the RSA
+    # meanings, under any listing of pixies, variables and joint rows
+    rng = random.Random(seed)
+    variables = ("x", "y")[:rng.randint(1, 2)]
+    model, lexicon = _non_dyadic_world(rng, variables)
+    relisted = _relisted(rng, model)
+    assert relisted == model
+    v = variables[-1]
+    graphs = [q.parse_prop(f"({kind} (x) (P x) (Q x))") for kind in ("every", "most", "many")]
+    # generic only, so generic-fast evaluates them
+    graphs += [q.parse_prop("(generic (x) (P x) (Q x))"),
+               q.parse_prop(f"(generic ({v}) (Q {v}) (generic (x) (P x) (Q {v})))")]
+    graphs += [random_vague_dag(rng, variables)[0] for _ in range(2)]
+    for graph in graphs:
+        assert (_every_engine(graph, relisted, lexicon, seed)
+                == _every_engine(graph, model, lexicon, seed)), q.serialize_prop(graph)
+
+    def meanings(world):
+        scenario = q.RsaScenario(
+            tuple(q.RsaState(f"s{k}", 0.5, q.World(world, lexicon, scheme))
+                  for k, scheme in enumerate(q.LiftScheme)),
+            tuple(q.RsaUtterance(f"u{k}", g) for k, g in enumerate(graphs[:4])))
+        return {u: {s: m.hex() for s, m in row.items()}
+                for u, row in meaning_matrix(scenario).items()}
+
+    assert meanings(relisted) == meanings(model)
 
 
 @given(seeds)

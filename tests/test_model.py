@@ -26,9 +26,15 @@ def test_pixie_space_rejects_duplicates_and_empty():
         q.PixieSpace(("a", "a"))
 
 
+def test_pixie_space_rejects_non_string_pixies():
+    with pytest.raises(ValueError, match="strings"):
+        q.PixieSpace(("a", 1))
+
+
 def test_pixie_space_equality_is_order_insensitive():
     assert q.PixieSpace(("a", "b")) == q.PixieSpace(("b", "a"))
     assert hash(q.PixieSpace(("a", "b"))) == hash(q.PixieSpace(("b", "a")))
+    assert q.PixieSpace(("b", "a", "B")).elements == ("B", "a", "b")
 
 
 def test_model_validates_mass():
