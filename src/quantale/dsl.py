@@ -21,7 +21,7 @@ from pathlib import Path
 from .engine import EXACT
 from .errors import DslParseError
 from .model import (MASS_TOL, LiftScheme, PixieSpace, SituationModel, VaguePredicate,
-                     VagueLexicon)
+                     VagueLexicon, _joint_total)
 from .quant import QuantifierKind
 from .rsa import ENGINES, RsaScenario, RsaState, RsaUtterance, World
 from .scope import (
@@ -303,7 +303,6 @@ def _world(doc, issues):
 
     joint: list[tuple[tuple[str, ...], float]] = []
     seen_assignments = set()
-    total = 0.0
     if _expect(issues, doc["joint"], list, "'joint'", ("joint",)):
         for k, entry in enumerate(doc["joint"]):
             at = ("joint", k)
@@ -335,8 +334,8 @@ def _world(doc, issues):
             if mass < 0:
                 issues(f"probability {mass} is negative", at + ("prob",))
                 continue
-            total += mass
             joint.append((key, mass))
+        total = _joint_total(mass for _, mass in joint)
         if not issues and abs(total - 1.0) > MASS_TOL:
             issues(f"joint mass {total:.12g} ≠ 1", ("joint",))
 

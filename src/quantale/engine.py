@@ -114,12 +114,14 @@ class _Core:
     """Everything one evaluation of a graph reads, and the pass over it.
 
     ``names`` are the applied predicates, sorted, and ``psi`` their vague
-    values, one row per name and one column per pixie of the space.  A
-    cell that no positive-mass row reads holds 0, so a lift of ``psi``
-    neither enumerates nor samples it.  ``cells`` maps each application
-    to its predicate's row of ``psi`` and the pixie each row reads.
-    ``crisp`` says that the caller only passes 0/1 tables (configuration
-    bits, thresholds applied), so one-mass groups may be summed by counts.
+    values, one row per name and one column per pixie that some row
+    assigns.  A cell that no positive-mass row reads holds 0, so a lift of
+    ``psi`` neither enumerates nor samples it.  ``cells`` maps each
+    application to its predicate's row of ``psi`` and the column each row
+    reads.  ``crisp`` says that the caller only passes 0/1 tables
+    (configuration bits, thresholds applied), so one-mass groups may be
+    summed by counts, from a full chunk on by one matrix product and a
+    table of shape values (``_counter``).
     """
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
@@ -144,18 +146,21 @@ class _Core:
         # pixie and reads cells no other row reads (see _counted).
         self.countable = len(applied) == 1 and quantifiers == [graph.root]
         variables = tuple(v for v in model.variables if v in applied)
-        # codes[j, c]: the pixie that row j assigns to variable c
-        codes, self.mass = model.rows(variables)
+        self.mass = model.rows(variables)[1]
+        # codes[j, c]: the pixie that row j assigns to variable c, as a
+        # position among the pixies the rows assign
+        pixies, codes = model.assigned(variables)
         self.width = len(self.mass)
         self.chunk = max(1, CHUNK_CELLS // self.width)  # batch rows per chunk
         column = {v: k for k, v in enumerate(variables)}
         space = model.space.elements
         name_row = {n: k for k, n in enumerate(self.names)}
-        read = np.zeros((len(self.names), len(space)), dtype=bool)
+        read = np.zeros((len(self.names), len(pixies)), dtype=bool)
         self.cells: dict[int, tuple[int, np.ndarray]] = {}
         # position of the last node that reads each node's table
         self.last_use = {self.graph.root: len(self.order)}
         self.groups: dict[int, tuple] = {}
+        self.counters: dict[int, tuple | None] = {}  # see _counter
         for pos, i in enumerate(self.order):
             node = graph.nodes[i]
             if isinstance(node, Application):
@@ -171,15 +176,15 @@ class _Core:
                 self.groups[i] = (*runs, mass if crisp else None)
         self.psi = np.zeros(read.shape)
         for k, name in enumerate(self.names):
-            pixies = np.flatnonzero(read[k]).tolist()
+            cols = np.flatnonzero(read[k])
             psi = lexicon.predicates[name].table.get
-            self.psi[k, pixies] = [psi(space[j], 0.0) for j in pixies]
+            self.psi[k, cols] = [psi(space[j], 0.0) for j in pixies[cols].tolist()]
 
     def leaves(self, truth: np.ndarray) -> dict[int, np.ndarray]:
         """Tables of every application and tautology node.
 
-        ``truth`` has shape (batch, predicates, pixies), laid out as
-        ``psi``: configuration bits or vague values.
+        ``truth`` has shape (batch, predicates, assigned pixies), laid out
+        as ``psi``: configuration bits or vague values.
         """
         tables = {i: truth[:, k, cols].astype(float) for i, (k, cols) in self.cells.items()}
         for i in self.order:
@@ -211,8 +216,31 @@ class _Core:
         return None
 
     def _quantify(self, i, r, b):
-        num, den = self.group_sums(i, r, b)
-        return self.shape(self.graph.nodes[i].kind, num, den)[:, self.groups[i][3]]
+        kind, run = self.graph.nodes[i].kind, self.groups[i][3]
+        if i not in self.counters and len(r) >= self.chunk:
+            self.counters[i] = self._counter(kind, *self.groups[i][2:])
+        counter = self.counters.get(i)
+        if counter is None:
+            return self.shape(kind, *self.group_sums(i, r, b))[:, run]
+        member, base, side, table = counter
+        # one product gives k_r * side + k_rb per group, an exact integer
+        return table[((r * (b + side)) @ member + base).astype(np.intp)][:, run]
+
+    def _counter(self, kind, sizes, run, mass):
+        """The count path of a one-mass quantifier of built-in kind, or None:
+        the one-hot row-by-group membership, and f_Q at k_rb * m over k_r * m
+        for each group g of mass m and counts below side = largest group + 1,
+        at g * side**2 + k_r * side + k_rb; each holds <= ``CHUNK_CELLS`` cells."""
+        side = int(sizes.max()) + 1
+        # a custom shape may leave gaps in [0, 1]: it may only see the
+        # ratios that are reached, not every count pair
+        if (mass is None or not isinstance(kind, QuantifierKind)
+                or len(sizes) * max(self.width, side * side) > CHUNK_CELLS):
+            return None
+        member = (run[:, None] == np.arange(len(sizes))).astype(float)
+        den, num = np.indices((side, side), dtype=float)[:, None] * mass[:, None, None]
+        table = self.shape(kind, num, den).ravel()
+        return member, np.arange(len(sizes)) * side * side, side, table
 
     def group_sums(self, i, r, b):
         """Per batch row and group of quantifier ``i``, the correctly rounded

@@ -59,6 +59,14 @@ def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
                     dtype=float)
 
 
+def _joint_total(masses) -> float:
+    """Correctly rounded sum of non-negative masses (inf past the largest float)."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        return math.inf
+
+
 def _runs(codes: np.ndarray):
     """Runs of equal rows of ``codes`` (rows x columns) in a stable sort of
     them, lexicographic with the first column primary: the sorting order,
@@ -102,13 +110,13 @@ class SituationModel:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
         seen = set()
-        total = 0.0
+        members = self.space._members
         for assignment, mass in self.joint:
             if len(assignment) != len(self.variables):
                 raise ValueError(f"assignment {assignment} does not cover all variables")
-            for pixie in assignment:
-                if pixie not in self.space:
-                    raise ValueError(f"unknown pixie {pixie!r} in joint assignment")
+            if not members.issuperset(assignment):
+                pixie = next(p for p in assignment if p not in members)
+                raise ValueError(f"unknown pixie {pixie!r} in joint assignment")
             if assignment in seen:
                 raise ValueError(f"duplicate assignment {assignment}")
             seen.add(assignment)
@@ -116,7 +124,7 @@ class SituationModel:
                 raise ValueError(f"probability {mass} of {assignment} is not finite")
             if mass < 0:
                 raise ValueError("probabilities must be non-negative")
-            total += mass
+        total = _joint_total(mass for _, mass in self.joint)
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"joint mass {total} differs from 1 by more than {MASS_TOL}")
 
@@ -191,6 +199,19 @@ class SituationModel:
             else:
                 found = _read_only(np.zeros((1, 0), dtype=np.intp), np.ones(1))
             self._memo["rows", vars] = found
+        return found
+
+    def assigned(self, vars) -> tuple[np.ndarray, np.ndarray]:
+        """The pixies that ``rows(vars)`` assign (sorted indices into
+        ``space.elements``), and the rows' codes as positions among them."""
+        vars = tuple(vars)
+        found = self._memo.get(("assigned", vars))
+        if found is None:
+            codes = self.rows(vars)[0]
+            seen = np.zeros(len(self.space.elements), dtype=bool)
+            seen[codes] = True
+            found = _read_only(np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes])
+            self._memo["assigned", vars] = found
         return found
 
     def groups(self, vars, by) -> tuple:

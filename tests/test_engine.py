@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from quantale.engine import evaluate
 from quantale.errors import (
     ExplosionGuard,
     PreciseQuantifierInFastPath,
+    ShapeDomainError,
     ValidationFailed,
 )
 
@@ -367,6 +369,108 @@ def test_nested_quantifiers_still_enumerate():
     with pytest.raises(ExplosionGuard) as caught:
         q.eval_exact(graph, model, lexicon)
     assert (caught.value.count, caught.value.cap) == (2**22, 2**20)
+
+
+def _flat_world():
+    pixies = tuple(f"p{i}" for i in range(7))
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",), tuple(((p,), 1 / 7) for p in pixies))
+    r = dict(zip(pixies, (1.0, 0.75, 0.5, 0.25, 1.0, 0.125, 0.0)))
+    b = dict(zip(pixies, (0.5, 1.0, 0.375, 0.0, 0.625, 1.0, 0.875)))
+    return model, q.VagueLexicon({"r": q.VaguePredicate("r", r), "b": q.VaguePredicate("b", b)})
+
+
+def _grouped_world():
+    # x-groups of 4, 3 and 2 rows, each of one mass
+    sizes, weights = (4, 3, 2), (1.0, 3.0, 5.0)
+    total = sum(s * w for s, w in zip(sizes, weights))
+    joint = tuple(((f"p{g}", f"p{k}"), w / total)
+                  for g, (s, w) in enumerate(zip(sizes, weights)) for k in range(s))
+    model = q.SituationModel(q.PixieSpace(("p0", "p1", "p2", "p3")), ("x", "y"), joint)
+    tables = {"f": {"p0": 0.75, "p1": 1.0, "p2": 0.5},
+              "r": {"p0": 1.0, "p1": 0.625, "p2": 0.25, "p3": 0.875},
+              "b": {"p0": 0.5, "p1": 0.375, "p2": 1.0, "p3": 0.125}}
+    return model, q.VagueLexicon({n: q.VaguePredicate(n, t) for n, t in tables.items()})
+
+
+# eval_mc(seed=11) at samples chunk - 1, chunk, chunk + 1 and 3 chunk + 5
+# under (independent, coupled-threshold), as float hex: the streams from
+# before quantifiers on full chunks counted by a matrix product
+CHUNK_PINS = {
+    "(many (x) (r x) (b x))": (_flat_world, 1170, [
+        ("0x1.33e698dafd975p-1", "0x1.36875610348edp-1"),
+        ("0x1.33a33a33a33a3p-1", "0x1.36b36b36b36b3p-1"),
+        ("0x1.33cfe783d366fp-1", "0x1.366f7e9438d72p-1"),
+        ("0x1.36fcb8fd736fdp-1", "0x1.384c539c1384cp-1"),
+    ]),
+    "(most (x) (f x) (many (y) (r y) (and (b y) (f x))))": (_grouped_world, 910, [
+        ("0x1.ea0872e77f93ep-2", "0x1.0288df0cac5b4p-1"),
+        ("0x1.e97e97e97e97fp-2", "0x1.02d02d02d02d0p-1"),
+        ("0x1.e8f50a65b9bf6p-2", "0x1.031752e5ddb78p-1"),
+        ("0x1.ee3739909d402p-2", "0x1.06756050df256p-1"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("prop", list(CHUNK_PINS))
+def test_mc_streams_are_pinned_around_the_chunk(prop):
+    from quantale.engine import _Core
+
+    world, chunk, pins = CHUNK_PINS[prop]
+    model, lexicon = world()
+    graph = q.parse_prop(prop)
+    assert _Core(graph, model, lexicon).chunk == chunk
+    for samples, pin in zip((chunk - 1, chunk, chunk + 1, 3 * chunk + 5), pins):
+        got = tuple(q.eval_mc(graph, model, lexicon, scheme, samples=samples, seed=11)
+                    .probability.hex() for scheme in q.LiftScheme)
+        assert got == pin, samples
+
+
+@pytest.mark.parametrize("b, pins", [
+    ({"p0": 1.0}, ("0x1.2b96eb39a9521p-2", "0x1.29ec99600bfd8p-2")),
+    ({"p0": 1.0, "p1": 0.5}, None),
+])
+def test_gapped_custom_shape_raises_only_on_a_reached_ratio(b, pins):
+    # the shape covers [0, 1/2) and 1 only; with b on p0 alone, r on p0-p2
+    # and maybe p3, the ratio is 1/3 or 1/4, though 2 of 4 rows is possible
+    shape = q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.5, 0.0, 0.5),))
+    pixies = ("p0", "p1", "p2", "p3")
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",), tuple(((p,), 0.25) for p in pixies))
+    graph = q.parse_prop("(every (x) (r x) (b x))")
+    root = graph.nodes[graph.root]
+    graph = q.ScopeGraph(graph.nodes[:graph.root]
+                         + (q.Quantifier(shape, root.bound, root.restriction, root.body),),
+                         graph.root)
+    r = {"p0": 1.0, "p1": 1.0, "p2": 1.0, "p3": 0.5}
+    lexicon = q.VagueLexicon({"r": q.VaguePredicate("r", r), "b": q.VaguePredicate("b", b)})
+    for k, scheme in enumerate(q.LiftScheme):
+        if pins is None:
+            with pytest.raises(ShapeDomainError, match="does not cover ratio 0.5"):
+                q.eval_mc(graph, model, lexicon, scheme, samples=3 * 2048 + 5, seed=5)
+        else:
+            result = q.eval_mc(graph, model, lexicon, scheme, samples=3 * 2048 + 5, seed=5)
+            assert result.probability.hex() == pins[k]
+
+
+def test_unassigned_pixies_take_no_room():
+    # 20000 pixies of which the joint's rows assign 2: the lift's bit
+    # arrays hold the 2, not the whole space
+    pixies = tuple(f"p{i:05d}" for i in range(20000))
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",),
+                             ((("p00003",), 0.25), (("p17000",), 0.75)))
+    lexicon = q.VagueLexicon({
+        "r": q.VaguePredicate("r", {"p00003": 0.5, "p17000": 0.25}),
+        "b": q.VaguePredicate("b", {"p00003": 0.75, "p17000": 0.5}),
+    })
+    graph = q.parse_prop("(many (x) (r x) (b x))")
+    tracemalloc.start()
+    try:
+        got = [q.eval_mc(graph, model, lexicon, scheme, samples=10000, seed=3).probability.hex()
+               for scheme in q.LiftScheme]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert got == ["0x1.a3bcd35a85879p-2", "0x1.4f41f212d7732p-2"]
 
 
 # eval_mc(samples=3000, seed=2026) under (independent, coupled-threshold) on

@@ -373,6 +373,37 @@ def test_custom_shapes_keep_row_sums():
     assert _Core(graph, model, lexicon, crisp=True).groups[i][4] is not None
 
 
+@given(seeds, st.sampled_from(list(q.QuantifierKind)), st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_empty):
+    # from its first full chunk on, a crisp quantifier of built-in kind
+    # counts by one matrix product and reads its values from a table; they
+    # must carry the bits of the shape applied to the reduceat sums
+    from quantale.engine import _Core
+
+    rng = random.Random(seed)
+    weights = [[rng.choice((1.0, 3.0, rng.random() + 0.05))] * rng.randint(1, 9)
+               for _ in range(rng.randint(1, 4))]
+    total = math.fsum(w for g in weights for w in g)
+    model, lexicon, graph, i = _grouped_case(rng, [[w / total for w in g] for g in weights])
+    node = graph.nodes[i]
+    nodes = graph.nodes[:i] + (q.Quantifier(kind, node.bound, node.restriction, node.body),)
+    graph = q.ScopeGraph(nodes + graph.nodes[i + 1:], graph.root)
+    core = _Core(graph, model, lexicon, generic_empty, crisp=True)
+    run = core.groups[i][3]
+    assert core.groups[i][4] is not None
+    np_rng = np.random.default_rng(seed)
+    for k, batch in enumerate((core.chunk - 1, core.chunk, 1, 3 * core.chunk + 5)):
+        r = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
+        b = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
+        # some groups with an empty restriction in every batch row
+        r[:, np.isin(run, np.flatnonzero(np_rng.random(len(weights)) < 0.3))] = 0.0
+        want = core.shape(kind, *core.group_sums(i, r, b))[:, run]
+        got = core._quantify(i, r, b)
+        assert (core.counters.get(i) is not None) == (k > 0)
+        assert got.tobytes() == want.tobytes()
+
+
 def _mixed_joint(rng, space, variables):
     """A joint over a random subset of the cells, with zero masses and
     masses whose sums round, shuffled so that projections merge rows

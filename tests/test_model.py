@@ -1,9 +1,10 @@
+import json
 import math
 
 import pytest
 
 import quantale as q
-from quantale.errors import ExplosionGuard, UnknownVariable
+from quantale.errors import DslParseError, ExplosionGuard, UnknownVariable
 
 from conftest import red_world
 
@@ -52,6 +53,36 @@ def test_model_rejects_non_finite_mass():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             q.SituationModel(space, ("x",), ((("a",), bad), (("b",), 0.5), (("c",), 0.5)))
+
+
+@pytest.mark.parametrize("order", ["abc", "acb", "cba"])
+def test_joint_total_does_not_depend_on_row_order(order):
+    # these masses sum to 1 + 1.0000000005e-9 when correctly rounded; a
+    # running sum in the order a, c, b fell within 1e-9 of 1 and accepted
+    mass = {"a": 0.06718212205620061, "b": 0.25423012108116977, "c": 0.6785877578626296}
+    joint = tuple(((p,), mass[p]) for p in order)
+    with pytest.raises(ValueError, match="joint mass 1.000000001"):
+        q.SituationModel(q.PixieSpace(("a", "b", "c")), ("x",), joint)
+    doc = {"pixies": ["a", "b", "c"], "variables": ["x"], "predicates": {},
+           "joint": [{"assign": {"x": p}, "prob": m} for (p,), m in joint]}
+    with pytest.raises(DslParseError, match="joint mass 1.000000001"):
+        q.parse_world(json.dumps(doc))
+
+
+def test_joint_total_past_the_largest_float_is_rejected():
+    space = q.PixieSpace(("a", "b"))
+    with pytest.raises(ValueError, match="joint mass inf"):
+        q.SituationModel(space, ("x",), ((("a",), 1e308), (("b",), 1e308)))
+    doc = {"pixies": ["a", "b"], "variables": ["x"], "predicates": {},
+           "joint": [{"assign": {"x": p}, "prob": 1e308} for p in "ab"]}
+    with pytest.raises(DslParseError, match="joint mass inf"):
+        q.parse_world(json.dumps(doc))
+
+
+def test_model_names_the_first_unknown_pixie():
+    space = q.PixieSpace(("a", "b"))
+    with pytest.raises(ValueError, match="unknown pixie 'z' in joint assignment"):
+        q.SituationModel(space, ("x", "y"), ((("a", "z"), 0.5), (("b", "y"), 0.5)))
 
 
 def test_model_rejects_duplicate_assignments():

@@ -30,3 +30,28 @@ def test_demo_script_runs(script, args):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_bench_ab_summarises_pairs():
+    # medians per side, their ratio, and the pairs the working tree won,
+    # by each metric's direction
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+
+    def doc(p50, ops, correct=True):
+        return {"correct": correct, "metrics": {"op_p50_s": {"value": p50},
+                                                "ops_per_s": {"value": ops}}}
+
+    pairs = [(doc(4.0, 100.0), doc(3.0, 120.0)), (doc(5.0, 90.0), doc(5.0, 80.0)),
+             (doc(6.0, 110.0), doc(3.0, 150.0, correct=False))]
+    summary = bench_ab.summarise(pairs, {"op_p50_s": "lower", "ops_per_s": "higher"})
+    assert summary["pairs"] == 3
+    assert summary["correct"] == {"base": True, "work": False}
+    # quartiles of (4, 5, 6) by the exclusive method: 4 and 6
+    assert summary["metrics"]["op_p50_s"] == {"base": 5.0, "work": 3.0, "ratio": 0.6,
+                                              "base_iqr": 2.0, "work_better": 2}
+    assert summary["metrics"]["ops_per_s"] == {"base": 100.0, "work": 120.0, "ratio": 1.2,
+                                               "base_iqr": 20.0, "work_better": 2}
