@@ -2,12 +2,12 @@
 
 Extracts REV with ``git archive`` into a temporary directory, then runs
 ``bench/run.py --trace 0`` there and in the working tree, one pair per
-seed and both with that seed, alternating which side goes first.  Prints
-one JSON line: per end-to-end metric, the median of each side, the ratio
-of the medians (working tree over base), the distance between the
-quartiles of the base runs and in how many pairs the working tree did
-better, plus whether every run was correct.  Nothing
-under ``bench/`` is changed.
+seed and both with that seed, each for BENCHMARK.json's ``run_seconds``,
+alternating which side goes first.  Prints one JSON line: per end-to-end
+metric, the median of each side, the ratio of the medians (working tree
+over base), the distance between the quartiles of the base runs and in
+how many pairs the working tree did better, plus whether every run was
+correct.  Nothing under ``bench/`` is changed.
 
 Usage: python scripts/bench_ab.py --base HEAD~1 --workload mc --seeds 1 2 3
 """
@@ -66,7 +66,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
         pairs = []
         for k, seed in enumerate(args.seeds):
             order = ("base", "work") if k % 2 == 0 else ("work", "base")
-            done = {side: run_bench(sides[side], args.workload, seed, args.seconds)
+            done = {side: run_bench(sides[side], args.workload, seed, spec["run_seconds"])
                     for side in order}
             pairs.append((done["base"], done["work"]))
     summary = summarise(pairs, better)
