@@ -8,18 +8,21 @@ Identical invocations (including seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import engine as _engine
 from . import rsa as _rsa
 from .dsl import parse_prop, parse_scenario, parse_world
 from .errors import DslParseError, QuantaleError, ValidationFailed
 from .model import LiftScheme
-from .quant import QuantifierKind, shape_value
-from .scope import validate
+from .quant import QuantifierKind, shape_values
+from .scope import validated_order
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -31,21 +34,8 @@ def _emit(document) -> None:
 
 
 def _diag_json(diagnostics):
-    out = []
-    for d in diagnostics:
-        if isinstance(d, str):
-            out.append({"message": d, "severity": "error"})
-        else:
-            out.append(
-                {
-                    "severity": d.severity,
-                    "message": d.message,
-                    "line": d.line,
-                    "column": d.column,
-                    "snippet": d.snippet,
-                }
-            )
-    return out
+    return [{"message": d, "severity": "error"} if isinstance(d, str)
+            else dataclasses.asdict(d) for d in diagnostics]
 
 
 def _load_inputs(args):
@@ -59,7 +49,7 @@ def _load_inputs(args):
 def _mc_seed(args) -> int:
     """The mc engine's seed, from ``--seed`` or else ``QUANTALE_SEED``.
 
-    Raises ValueError when it or ``--samples`` is missing or out of range.
+    Raises QuantaleError when it or ``--samples`` is missing or out of range.
     """
     seed = args.seed
     env = os.environ.get("QUANTALE_SEED")
@@ -67,13 +57,13 @@ def _mc_seed(args) -> int:
         try:
             seed = int(env)
         except ValueError:
-            raise ValueError(f"QUANTALE_SEED must be an integer, got {env!r}") from None
+            raise QuantaleError(f"QUANTALE_SEED must be an integer, got {env!r}") from None
     if args.samples is None or seed is None:
-        raise ValueError("the mc engine requires --samples and --seed (or QUANTALE_SEED)")
+        raise QuantaleError("the mc engine requires --samples and --seed (or QUANTALE_SEED)")
     if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        raise QuantaleError(f"--samples must be at least 1, got {args.samples}")
     if seed < 0:
-        raise ValueError(f"the seed must be non-negative, got {seed}")
+        raise QuantaleError(f"the seed must be non-negative, got {seed}")
     return seed
 
 
@@ -88,24 +78,15 @@ def cmd_eval(args) -> int:
             f"warning: --scheme is ignored by the {args.engine} engine",
             file=sys.stderr,
         )
-    seed = None
-    if args.engine == _engine.MONTE_CARLO:
-        try:
-            seed = _mc_seed(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EVALUATION
-    try:
-        result = _engine.evaluate(
-            graph, model, lexicon, args.engine, scheme, limits,
-            samples=args.samples, seed=seed,
-        )
-    except ValidationFailed as exc:
-        for d in exc.diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        _emit({"diagnostics": _diag_json(exc.diagnostics)})
-        return EXIT_DIAGNOSTICS
-
+    for flag, cap in (("--cap-configs", args.cap_configs),
+                      ("--cap-vague-nodes", args.cap_vague_nodes)):
+        if cap < 0:
+            raise QuantaleError(f"{flag} must be non-negative, got {cap}")
+    seed = _mc_seed(args) if args.engine == _engine.MONTE_CARLO else None
+    result = _engine.evaluate(
+        graph, model, lexicon, args.engine, scheme, limits,
+        samples=args.samples, seed=seed,
+    )
     document = {"probability": result.probability, "engine": result.engine}
     if result.engine in (_engine.EXACT, _engine.MONTE_CARLO):
         document["scheme"] = scheme.value
@@ -133,10 +114,10 @@ def cmd_curve(args) -> int:
     if args.points < 2:
         print("error: --points must be at least 2", file=sys.stderr)
         return EXIT_DIAGNOSTICS
+    ratios = [i / (args.points - 1) for i in range(args.points)]
+    values = shape_values(kind, np.array(ratios)).tolist()
     sys.stdout.write("ratio,value\n")
-    for i in range(args.points):
-        ratio = i / (args.points - 1)
-        sys.stdout.write(f"{ratio!r},{shape_value(kind, ratio)!r}\n")
+    sys.stdout.writelines(f"{r!r},{v!r}\n" for r, v in zip(ratios, values))
     return EXIT_OK
 
 
@@ -169,12 +150,8 @@ def cmd_rsa(args) -> int:
 
 def cmd_check(args) -> int:
     model, lexicon, graph = _load_inputs(args)
-    diagnostics = validate(graph, model, lexicon)
-    _emit(_diag_json(diagnostics))
-    if diagnostics:
-        for d in diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    validated_order(graph, model, lexicon)  # raises ValidationFailed
+    _emit([])
     return EXIT_OK
 
 
@@ -229,9 +206,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    except DslParseError as exc:
+    except (DslParseError, ValidationFailed) as exc:
         for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
+            print(f"error: {d}" if isinstance(d, str) else d, file=sys.stderr)
         diagnostics = _diag_json(exc.diagnostics)
         _emit(diagnostics if args.command == "check" else {"diagnostics": diagnostics})
         return EXIT_DIAGNOSTICS

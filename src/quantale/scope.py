@@ -65,15 +65,8 @@ class ScopeGraph:
         return [i for i, n in enumerate(self.nodes) if isinstance(n, Quantifier)]
 
     def reachable(self) -> set[int]:
-        seen = set()
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(children(self.nodes[i]))
-        return seen
+        """Nodes reachable from the root; raises like ``topological_order``."""
+        return set(_walk(self.nodes, self.root))
 
     @cached_property
     def _analysis(self) -> tuple:
@@ -96,10 +89,10 @@ class ScopeGraph:
         except CycleDetected as exc:
             return [str(exc)], None, None, None, None, False
         free: dict[int, frozenset[str]] = {}
-        free_vars(self, self.root, free)
-        predicates, variables, sound = set(), set(), not free[self.root]
+        predicates, variables, sound = set(), set(), True
         for i in order:
             n = self.nodes[i]
+            free[i] = _free(n, free)
             if isinstance(n, Application):
                 predicates.add(n.predicate)
                 variables.add(n.variable)
@@ -108,44 +101,19 @@ class ScopeGraph:
             elif isinstance(n, Quantifier):
                 variables.update(n.bound)
                 sound = sound and bool(n.bound) and len(set(n.bound)) == len(n.bound)
-        return [], order, free, predicates, variables, sound
-
-def free_vars(graph: ScopeGraph, node: int, _memo: dict | None = None) -> frozenset[str]:
-    """Free variables of a node.
-
-    Leaves mention their own variables; a conjunction takes the union of
-    its children; a quantifier takes the union of restriction and body
-    minus its bound variables.  Stable under node sharing.  The walk keeps
-    its own stack, so a deep graph needs no recursion.
-    """
-    memo = _memo if _memo is not None else {}
-    stack = [(node, False)]  # (node, children done)
-    while stack:
-        i, done = stack.pop()
-        n = graph.nodes[i]
-        if not done:
-            if i not in memo:
-                memo[i] = frozenset()  # a tautology's; else a cycle guard
-                stack.append((i, True))
-                stack.extend((c, False) for c in reversed(children(n)))
-        elif isinstance(n, Application):
-            memo[i] = frozenset({n.variable})
-        elif isinstance(n, Conjunction):
-            memo[i] = frozenset().union(*(memo[c] for c in n.children))
-        elif isinstance(n, Quantifier):
-            memo[i] = (memo[n.restriction] | memo[n.body]) - set(n.bound)
-    return memo[node]
+        return [], order, free, predicates, variables, sound and not free[self.root]
 
 
-def topological_order(graph: ScopeGraph) -> list[int]:
-    """Reachable nodes ordered children-first; deterministic.
+def _walk(nodes, root: int, skip=()) -> list[int]:
+    """The nodes reachable from ``root`` that are not in ``skip``, children
+    first, each once; deterministic.  The walk keeps its own stack, so a
+    deep graph needs no recursion.
 
-    Raises CycleDetected if the reachable subgraph is cyclic or refers to
-    a missing node.  The walk keeps its own stack, like ``free_vars``.
+    Raises CycleDetected on a cycle or on a missing node, naming it.
     """
     order: list[int] = []
     placed: dict[int, bool] = {}  # False while on the walk's path
-    stack = [(graph.root, False)]  # (node, children done)
+    stack = [(root, False)]  # (node, children done)
     while stack:
         i, done = stack.pop()
         if done:
@@ -154,14 +122,41 @@ def topological_order(graph: ScopeGraph) -> list[int]:
         elif i in placed:
             if not placed[i]:
                 raise CycleDetected("scope graph contains a cycle")
-        else:
+        elif i not in skip:
+            if not 0 <= i < len(nodes):
+                raise CycleDetected(f"scope graph refers to missing node {i}")
             placed[i] = False
             stack.append((i, True))
-            for c in reversed(children(graph.nodes[i])):
-                if not 0 <= c < len(graph.nodes):
-                    raise CycleDetected("scope graph contains a cycle")
-                stack.append((c, False))
+            stack.extend((c, False) for c in reversed(children(nodes[i])))
     return order
+
+
+def _free(node: ScopeNode, memo: dict[int, frozenset[str]]) -> frozenset[str]:
+    """Free variables of a node from its children's in ``memo``: a leaf
+    mentions its own, a conjunction takes their union, and a quantifier
+    the union of restriction and body minus its bound variables."""
+    if isinstance(node, Application):
+        return frozenset({node.variable})
+    if isinstance(node, Conjunction):
+        return frozenset().union(*(memo[c] for c in node.children))
+    if isinstance(node, Quantifier):
+        return (memo[node.restriction] | memo[node.body]) - set(node.bound)
+    return frozenset()
+
+
+def free_vars(graph: ScopeGraph, node: int, _memo: dict | None = None) -> frozenset[str]:
+    """Free variables of a node; stable under node sharing.  Calls that
+    share ``_memo`` walk no node twice.  Raises like ``topological_order``."""
+    memo = _memo if _memo is not None else {}
+    for i in _walk(graph.nodes, node, memo):
+        memo[i] = _free(graph.nodes[i], memo)
+    return memo[node]
+
+
+def topological_order(graph: ScopeGraph) -> list[int]:
+    """Reachable nodes ordered children-first; deterministic.  Raises
+    CycleDetected on a cycle, or naming a missing node it refers to."""
+    return _walk(graph.nodes, graph.root)
 
 
 def validate(graph: ScopeGraph, model, lexicon) -> list[str]:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from quantale.cli import main
+from quantale.quant import QuantifierKind, shape_value
 
 from conftest import FIXTURES
 
@@ -101,6 +102,9 @@ def test_eval_mc_requires_samples_and_seed(capsys, monkeypatch):
     assert "--samples" in err and "--seed" in err
 
 
+NEEDS_SEED = "the mc engine requires --samples and --seed (or QUANTALE_SEED)"
+
+
 @pytest.mark.parametrize(
     "extra, env, message",
     [
@@ -109,6 +113,13 @@ def test_eval_mc_requires_samples_and_seed(capsys, monkeypatch):
         (("--samples", "10", "--seed", "-1"), None, "the seed must be non-negative, got -1"),
         (("--samples", "10"), "-1", "the seed must be non-negative, got -1"),
         (("--samples", "10"), "abc", "QUANTALE_SEED must be an integer, got 'abc'"),
+        ((), None, NEEDS_SEED),
+        (("--seed", "1"), None, NEEDS_SEED),
+        (("--samples", "5"), None, NEEDS_SEED),
+        (("--seed", "-2"), "3", NEEDS_SEED),
+        (("--samples", "0"), "abc", "QUANTALE_SEED must be an integer, got 'abc'"),
+        (("--samples", "0", "--seed", "2"), "abc", "--samples must be at least 1, got 0"),
+        (("--samples", "0", "--seed", "-2"), None, "--samples must be at least 1, got 0"),
     ],
 )
 def test_eval_mc_rejects_unusable_samples_and_seed(capsys, monkeypatch, extra, env, message):
@@ -125,6 +136,47 @@ def test_eval_mc_rejects_unusable_samples_and_seed(capsys, monkeypatch, extra, e
         *extra,
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--cap-configs", "--cap-vague-nodes"])
+def test_eval_rejects_negative_caps(capsys, flag):
+    argv = ["eval", "--world", str(FIXTURES / "red.world.json"),
+            "--prop", str(FIXTURES / "every_red.prop")]
+    code, out, err = run_cli(capsys, *argv, flag, "-1")
+    assert (code, out, err) == (2, "", f"error: {flag} must be non-negative, got -1\n")
+    # a cap of 0 is a cap, not a mistake
+    code, out, err = run_cli(capsys, *argv, "--engine", "naive", flag, "0")
+    assert (code, out, err) == (0, '{"engine": "naive", "probability": 0.0}\n', "")
+
+
+BLUE_W = [
+    "unknown predicate 'blue' at node 1",
+    "unknown variable 'w' at node 1",
+    "root has free variables {w}",
+]
+BLUE_W_JSON = ", ".join(f'{{"message": "{m}", "severity": "error"}}' for m in BLUE_W)
+BLUE_W_ERR = "".join(f"error: {m}\n" for m in BLUE_W)
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        # check prints a bare list of the diagnostics
+        (("check",), (1, f"[{BLUE_W_JSON}]\n", BLUE_W_ERR)),
+        # the ignored-scheme warning comes before the diagnostics
+        (("eval", "--engine", "naive", "--scheme", "independent"),
+         (1, f'{{"diagnostics": [{BLUE_W_JSON}]}}\n',
+          "warning: --scheme is ignored by the naive engine\n" + BLUE_W_ERR)),
+        # a seed error comes before validation
+        (("eval", "--engine", "mc"), (2, "", f"error: {NEEDS_SEED}\n")),
+    ],
+)
+def test_validation_diagnostics_golden(capsys, monkeypatch, tmp_path, extra, expected):
+    monkeypatch.delenv("QUANTALE_SEED", raising=False)
+    blue = tmp_path / "blue.prop"
+    blue.write_text("(every (x) true (blue w))")
+    argv = ("--world", str(FIXTURES / "red.world.json"), "--prop", str(blue))
+    assert run_cli(capsys, *extra, *argv) == expected
 
 
 def test_eval_csv_output(capsys):
@@ -218,6 +270,16 @@ def test_curve_golden(capsys):
         "0.75,1.0\n"
         "1.0,1.0\n"
     )
+
+
+@pytest.mark.parametrize("kind", [k.value for k in QuantifierKind])
+def test_curve_matches_the_scalar_shape(capsys, kind):
+    for points in (2, 3, 7, 101):
+        ratios = [i / (points - 1) for i in range(points)]
+        expected = "ratio,value\n" + "".join(
+            f"{r!r},{shape_value(QuantifierKind(kind), r)!r}\n" for r in ratios)
+        assert run_cli(capsys, "curve", "--kind", kind, "--points", str(points)) == (
+            0, expected, "")
 
 
 def test_curve_unknown_kind(capsys):

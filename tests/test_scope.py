@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 import quantale as q
 from quantale import scope
 from quantale.errors import CycleDetected
-from quantale.scope import topological_order
+from quantale.scope import children, topological_order
 
 from conftest import load_prop, load_world, quant_over_tautology, red_world
 
@@ -72,10 +74,98 @@ def test_cycle_detection():
 
 def test_missing_child_stops_the_walk():
     graph = q.ScopeGraph((q.Tautology(), q.Conjunction((0, 5))), root=1)
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected, match="missing node 5"):
         q.topological_order(graph)
     model, lexicon = red_world(0.5)
     assert q.validate(graph, model, lexicon) == ["node 1 references missing node 5"]
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ((q.Conjunction((1,)), q.Conjunction((0,))), "contains a cycle"),
+        ((q.Conjunction((1,)), q.Conjunction((2, 1)), q.Application("p", "x")),
+         "contains a cycle"),
+        ((q.Conjunction((1,)), q.Conjunction((2, 7)), q.Application("p", "x")),
+         "missing node 7"),
+        ((q.Conjunction((1,)), q.Conjunction((-1,))), "missing node -1"),
+    ],
+)
+def test_every_traversal_of_a_broken_graph_raises(nodes, message):
+    graph = q.ScopeGraph(nodes, root=0)
+    for walk in (q.topological_order, q.ScopeGraph.reachable, lambda g: q.free_vars(g, 0)):
+        with pytest.raises(CycleDetected, match=message):
+            walk(graph)
+
+
+def random_dag(rng):
+    """A scope graph whose nodes may be shared or unreachable, with the
+    indices shuffled so that a child may come after its parent."""
+    nodes = []
+    for _ in range(rng.randint(1, 25)):
+        made = len(nodes)
+        pick = rng.random()
+        if made == 0 or pick < 0.2:
+            nodes.append(q.Tautology() if pick < 0.05
+                         else q.Application("p", rng.choice("xyz")))
+        elif pick < 0.5:
+            nodes.append(q.Conjunction(tuple(rng.randrange(made)
+                                             for _ in range(rng.randint(1, 3)))))
+        else:
+            bound = tuple(rng.sample("xyz", rng.randint(1, 2)))
+            nodes.append(q.Quantifier(q.QuantifierKind.SOME, bound,
+                                      rng.randrange(made), rng.randrange(made)))
+    index = list(range(len(nodes)))
+    rng.shuffle(index)
+    moved = [None] * len(nodes)
+    for i, n in enumerate(nodes):
+        if isinstance(n, q.Conjunction):
+            n = q.Conjunction(tuple(index[c] for c in n.children))
+        elif isinstance(n, q.Quantifier):
+            n = q.Quantifier(n.kind, n.bound, index[n.restriction], index[n.body])
+        moved[index[i]] = n
+    return q.ScopeGraph(tuple(moved), root=index[rng.randrange(len(nodes))])
+
+
+def reference_order(graph, i, seen):
+    if i in seen:
+        return []
+    seen.add(i)
+    order = [j for c in children(graph.nodes[i]) for j in reference_order(graph, c, seen)]
+    return order + [i]
+
+
+def reference_free(graph, i, cache):
+    if i not in cache:
+        n = graph.nodes[i]
+        free = set()
+        if isinstance(n, q.Application):
+            free = {n.variable}
+        elif isinstance(n, q.Conjunction):
+            free = set().union(*(reference_free(graph, c, cache) for c in n.children))
+        elif isinstance(n, q.Quantifier):
+            free = (reference_free(graph, n.restriction, cache)
+                    | reference_free(graph, n.body, cache)) - set(n.bound)
+        cache[i] = free
+    return cache[i]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_walks_agree_with_a_recursive_reference(seed):
+    rng = random.Random(seed)
+    graph = random_dag(rng)
+    order = q.topological_order(graph)
+    assert order == reference_order(graph, graph.root, set())
+    assert len(set(order)) == len(order)
+    assert all(order.index(c) < order.index(i) for i in order for c in children(graph.nodes[i]))
+    assert graph.reachable() == set(order)
+    memo, expected = {}, {}
+    calls = list(range(len(graph.nodes)))
+    rng.shuffle(calls)
+    for i in calls:
+        assert q.free_vars(graph, i, memo) == reference_free(graph, i, expected)
+        assert q.free_vars(graph, i) == expected[i]
+    assert memo == expected
 
 
 def test_validate_clean_graph():
@@ -155,6 +245,7 @@ def test_a_deep_graph_built_in_code_evaluates():
     nodes.append(q.Quantifier(q.QuantifierKind.EVERY, ("x",), 0, len(nodes) - 1))
     graph = q.ScopeGraph(tuple(nodes), root=len(nodes) - 1)
     assert q.topological_order(graph) == list(range(len(nodes)))
+    assert graph.reachable() == set(range(len(nodes)))
     assert q.free_vars(graph, len(nodes) - 2) == frozenset({"x"})
     flat = q.parse_prop("(every (x) true (red x))")
     assert q.eval_exact(graph, model, lexicon) == q.eval_exact(flat, model, lexicon)
@@ -173,3 +264,19 @@ def test_the_graph_is_walked_once_and_names_are_checked_per_call(monkeypatch):
     other = q.VagueLexicon({"blue": q.VaguePredicate("blue", {"x1": 1.0})})
     assert q.validate(graph, model, other) == ["unknown predicate 'red' at node 1"]
     assert walks == [graph]
+
+
+def test_free_vars_with_a_shared_memo_expands_each_node_once(monkeypatch):
+    # one call per node, bottom up or top down, as the benchmark's cell
+    # count makes them: linear in the graph, not quadratic
+    nodes = [q.Application("red", "x")]
+    for _ in range(300):
+        nodes.append(q.Conjunction((len(nodes) - 1, 0)))
+    graph = q.ScopeGraph(tuple(nodes), root=len(nodes) - 1)
+    for calls in (range(len(nodes)), reversed(range(len(nodes)))):
+        expanded = []
+        monkeypatch.setattr(scope, "children",
+                            lambda n: expanded.append(n) or children(n))
+        memo = {}
+        assert all(q.free_vars(graph, i, memo) == {"x"} for i in calls)
+        assert len(expanded) == len(nodes)
