@@ -1,15 +1,17 @@
 """Benchmark the working tree against another revision, run for run.
 
-Extracts REV with ``git archive`` into a temporary directory, then runs
-``bench/run.py --trace 0`` there and in the working tree, one pair per
-seed and both with that seed, each for BENCHMARK.json's ``run_seconds``,
-alternating which side goes first.  Prints one JSON line: per end-to-end
-metric, the median of each side, the ratio of the medians (working tree
-over base), the distance between the quartiles of the base runs and in
-how many pairs the working tree did better, plus whether every run was
-correct.  Nothing under ``bench/`` is changed.
+Extracts REV with ``git archive`` into a temporary directory, then, for
+each workload named (by default every workload of BENCHMARK.json, in its
+order), runs ``bench/run.py --trace 0`` there and in the working tree,
+one pair per seed and both with that seed, each for BENCHMARK.json's
+``run_seconds``, alternating which side goes first.  Prints one JSON line
+per workload: per end-to-end metric, the median of each side, the ratio
+of the medians (working tree over base), the distance between the
+quartiles of the base runs and in how many pairs the working tree did
+better, plus whether every run was correct.  Nothing under ``bench/`` is
+changed.
 
-Usage: python scripts/bench_ab.py --base HEAD~1 --workload mc --seeds 1 2 3
+Usage: python scripts/bench_ab.py --base HEAD~1 [--workload mc exact-dense] --seeds 1 2 3
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def extract(rev: str, into: Path) -> None:
+    """The files of revision ``rev``, written under ``into``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -62,27 +71,27 @@ def summarise(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", choices=names, default=names,
+                        help="workloads to compare, in this order (default: all)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    archive = subprocess.run(["git", "archive", "--format=tar", args.base],
-                             cwd=ROOT, capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        extract(args.base, Path(tmp))
         sides = {"base": Path(tmp), "work": ROOT}
-        pairs = []
-        for k, seed in enumerate(args.seeds):
-            order = ("base", "work") if k % 2 == 0 else ("work", "base")
-            done = {side: run_bench(sides[side], args.workload, seed, spec["run_seconds"])
-                    for side in order}
-            pairs.append((done["base"], done["work"]))
-    summary = summarise(pairs, better)
-    print(json.dumps({"base": args.base, "workload": args.workload, "seeds": args.seeds,
-                      **summary}))
+        for workload in args.workload:
+            pairs = []
+            for k, seed in enumerate(args.seeds):
+                order = ("base", "work") if k % 2 == 0 else ("work", "base")
+                done = {side: run_bench(sides[side], workload, seed, spec["run_seconds"])
+                        for side in order}
+                pairs.append((done["base"], done["work"]))
+            print(json.dumps({"base": args.base, "workload": workload, "seeds": args.seeds,
+                              **summarise(pairs, better)}), flush=True)
     return 0
 
 

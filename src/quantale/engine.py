@@ -6,11 +6,13 @@ marginal over the variables the graph's applications read: its value at
 each row's projection onto the node's free variables.  Every
 lookup a parent makes is such a projection, so nothing else is needed:
 
-* an application reads the predicate's value at the row's pixie;
+* an application reads the predicate's value at the row's pixie: psi
+  itself, or under a lift the leaf rule, where the cell holds if the draw
+  it reads is at most its value (``model.leaf_values``);
 * a conjunction multiplies its children's tables;
 * a quantifier sums ``mass * r`` and ``mass * r * b`` over the rows that
   share its free variables, applies its shape to the ratio and gathers
-  the group values back to the rows.
+  the group values back to the rows; the closed root keeps its one group.
 
 Group sums are correctly rounded, so the result does not depend on the
 order of the joint's rows, and a ratio such as 3/6 over masses of 1/7 is
@@ -22,17 +24,16 @@ carries whatever one pass is evaluated for:
 * ``eval_naive`` applies quantifier shapes directly to vague conditional
   probabilities (the formulation that trivialises precise quantifiers
   under vague predicates); its batch is the single vague lexicon.
-* ``eval_exact`` runs chunks of the configurations the lift plan
-  enumerates.  At each vague quantifier node a configuration branches
-  once per threshold region cut by the values the node attains, weighted
-  by the region's length; the branches continue as rows of the batch.
-  Under the independent lift, a graph whose one quantifier is its root
-  and whose applications all read one variable has independent rows; it
-  is summed over count states instead (``_counted``).
-* ``eval_mc`` runs chunks of the configurations the lift plan samples,
-  together with one uniform threshold per vague quantifier node, and
-  keeps a vague node's value where it is at least the threshold.  It
-  reports a binomial confidence interval and is seeded deterministically.
+* ``eval_exact`` runs chunks of the draws the lift plan enumerates.  At
+  each vague quantifier node a configuration branches once per threshold
+  region cut by the node's values, weighted by the region's length; the
+  branches continue as batch rows.  Under the independent lift, a graph
+  whose one quantifier is its root and whose applications all read one
+  variable has independent rows, summed over count states (``_counted``).
+* ``eval_mc`` runs chunks of uniform draws, one per draw of the lift plan
+  and one threshold per vague quantifier node, and keeps a vague node's
+  value where it is at least the threshold.  It reports a binomial
+  confidence interval and is seeded deterministically.
 * ``eval_generic_fast`` reverses the order of expectations, evaluating
   vague functions directly; it is only sound for vague quantifiers.
 
@@ -56,6 +57,7 @@ from .model import (
     SituationModel,
     VagueLexicon,
     _fsum_runs,
+    leaf_values,
 )
 from .quant import (
     QuantifierKind,
@@ -119,7 +121,7 @@ class _Core:
     ``psi`` neither enumerates nor samples it.  ``cells`` maps each
     application to its predicate's row of ``psi`` and the column each row
     reads.  ``crisp`` says that the caller only passes 0/1 tables
-    (configuration bits, thresholds applied), so one-mass groups may be
+    (lifted leaves, thresholds applied), so one-mass groups may be
     summed by counts, from a full chunk on by one matrix product and a
     table of shape values (``_counter``).
     """
@@ -180,16 +182,26 @@ class _Core:
             psi = lexicon.predicates[name].table.get
             self.psi[k, cols] = [psi(space[j], 0.0) for j in pixies[cols].tolist()]
 
-    def leaves(self, truth: np.ndarray) -> dict[int, np.ndarray]:
-        """Tables of every application and tautology node.
+    def reads(self, column: np.ndarray | None):
+        """Per application, the draw that each row's cell reads (``column``
+        of psi's cells) and the cell's ``leaf_values``; None for no column."""
+        if column is None:
+            return None
+        value = leaf_values(self.psi)
+        return {i: (column[k][cols], value[k][cols]) for i, (k, cols) in self.cells.items()}
 
-        ``truth`` has shape (batch, predicates, assigned pixies), laid out
-        as ``psi``: configuration bits or vague values.
-        """
-        tables = {i: truth[:, k, cols].astype(float) for i, (k, cols) in self.cells.items()}
+    def leaves(self, draws: np.ndarray | None = None, reads=None) -> dict[int, np.ndarray]:
+        """Tables of every application and tautology node, a row per row of
+        ``draws`` (one without): the leaf rule by ``reads``, else psi's own."""
+        n = 1 if draws is None else len(draws)
+        if reads is None:
+            tables = {i: self.psi[k][cols][None].repeat(n, axis=0)
+                      for i, (k, cols) in self.cells.items()}
+        else:
+            tables = {i: (draws[:, c] <= v).astype(float) for i, (c, v) in reads.items()}
         for i in self.order:
             if isinstance(self.graph.nodes[i], Tautology):
-                tables[i] = np.ones((len(truth), self.width))
+                tables[i] = np.ones((n, self.width))
         return tables
 
     def advance(self, tables, start=0, stop=None):
@@ -216,7 +228,9 @@ class _Core:
         return None
 
     def _quantify(self, i, r, b):
-        kind, run = self.graph.nodes[i].kind, self.groups[i][3]
+        kind = self.graph.nodes[i].kind
+        # the root is closed: its one group stays at column 0, not gathered to the rows
+        run = slice(None) if i == self.graph.root else self.groups[i][3]
         if i not in self.counters and len(r) >= self.chunk:
             self.counters[i] = self._counter(kind, *self.groups[i][2:])
         counter = self.counters.get(i)
@@ -317,7 +331,7 @@ def _psi_pass(graph, model, lexicon, generic_empty, vague_only):
                     f"precise quantifier {name!r} at node {i} is not allowed "
                     f"in the generic fast path; use the exact engine"
                 )
-    return float(core.values(core.leaves(core.psi[None]))[0])
+    return float(core.values(core.leaves())[0])
 
 
 def eval_naive(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
@@ -336,23 +350,22 @@ def eval_generic_fast(graph: ScopeGraph, model: SituationModel,
 
 
 def _check_vague_cap(core, limits):
-    if len(core.vague) > limits.vague_node_cap:
-        raise ExplosionGuard(
-            f"{len(core.vague)} vague quantifier nodes exceed the cap "
-            f"of {limits.vague_node_cap}",
-            count=len(core.vague),
-            cap=limits.vague_node_cap,
-        )
+    count, cap = len(core.vague), limits.vague_node_cap
+    if count > cap:
+        nodes = "node exceeds" if count == 1 else "nodes exceed"
+        raise ExplosionGuard(f"{count} vague quantifier {nodes} the cap of {cap}",
+                             count=count, cap=cap)
 
 
 def _enumerated(core, scheme, cap):
     """Root expectation over every configuration the lift plan enumerates."""
     plan = LiftPlan(core.psi, scheme)
     plan.check(cap)
+    reads = core.reads(plan.column)
     terms = []
     for start in range(0, plan.count, core.chunk):
-        bits, weights = plan.enumerate(start, min(start + core.chunk, plan.count))
-        terms.append(weights * core.expectation(core.leaves(bits)))
+        draws, weights = plan.enumerate(start, min(start + core.chunk, plan.count))
+        terms.append(weights * core.expectation(core.leaves(draws, reads)))
     return math.fsum(np.concatenate(terms))
 
 
@@ -378,7 +391,7 @@ def _counted(core, cap):
     Its rows are independent: row j holds restriction and body with
     probabilities q[j] = (P(r=0), P(r=1, b=0), P(r=1, b=1)), found by
     evaluating the graph once on every pattern of the predicates with
-    fractional cells, a pattern setting a predicate on every pixie.  A
+    fractional cells, a pattern giving each one draw, 0 (holds) or 1.  A
     count state says, per distinct mass of the rows with fractional
     cells, how many of them hold r and how many hold r and b; the other
     rows hold one outcome each.  A state's sums are the correctly rounded
@@ -405,7 +418,7 @@ def _counted(core, cap):
         u, f = len(rows), int(cells[rows].sum())
         states *= min((u + 1) * (u + 2) // 2, 2**f)
     count = max(states, 2 ** len(varying))
-    if count > cap:
+    if count > max(cap, 1):  # one state enumerates nothing
         raise ExplosionGuard(
             f"independent lift needs {count} count states (cap {cap})",
             count=count,
@@ -414,9 +427,12 @@ def _counted(core, cap):
 
     pattern = (np.arange(2 ** len(varying))[:, None]
                >> np.arange(len(varying) - 1, -1, -1)) & 1 == 1
-    bits = np.repeat((core.psi == 1.0)[None], len(pattern), axis=0)
-    bits[:, varying] = pattern[:, :, None]
-    tables = core.leaves(bits)
+    # one draw per varying predicate, 0 where the pattern sets it (other
+    # predicates read draw 0 and ignore it); a pattern that contradicts a
+    # fixed cell has weight 0 at that cell's row
+    column = np.zeros(core.psi.shape, dtype=np.intp)
+    column[varying] = np.arange(len(varying))[:, None]
+    tables = core.leaves(1.0 - pattern, core.reads(column if len(varying) else None))
     core.advance(tables, stop=len(core.order) - 1)
     r = tables[root.restriction]
     outcome = r + r * tables[root.body]  # 0, 1 or 2 per pattern and row
@@ -500,26 +516,31 @@ def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
     then evaluates the root boolean.  Identical inputs and seed give
     identical results.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     core = _Core(graph, model, lexicon, generic_empty, crisp=True)
     _check_vague_cap(core, limits)
     plan = LiftPlan(core.psi, scheme)
+    reads = core.reads(plan.column)
     rng = np.random.default_rng(seed)
     hits = 0.0
     for start in range(0, samples, core.chunk):
         n = min(core.chunk, samples - start)
         uniforms = rng.random((n, plan.draws + len(core.vague)))
         np.subtract(1.0, uniforms, out=uniforms)
-        tables = core.leaves(plan.sample(uniforms[:, :plan.draws]))
+        # the plan's draws come first, then one threshold per vague node
+        tables = core.leaves(uniforms, reads)
         hits += float(core.values(tables, uniforms[:, plan.draws:]).sum())
     p_hat = hits / samples
     return EvalResult(
         probability=p_hat,
         engine=MONTE_CARLO,
         ci=_binomial_ci(p_hat, samples),
-        samples=samples,
-        seed=seed,
+        samples=int(samples),
+        seed=int(seed),
     )
 
 

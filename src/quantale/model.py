@@ -314,50 +314,50 @@ class LiftedLexicon:
 DEFAULT_CONFIG_CAP = 2**20
 
 
-def psi_table(lexicon: VagueLexicon, space: PixieSpace) -> np.ndarray:
-    """psi as an array: one row per predicate in sorted name order, one
-    column per pixie of the space."""
-    names = sorted(lexicon.predicates)
-    table = [[lexicon.psi(n, px) for px in space.elements] for n in names]
-    return np.array(table, dtype=float).reshape(len(names), len(space.elements))
+def leaf_values(psi: np.ndarray) -> np.ndarray:
+    """A lifted cell holds where its draw, in [0, 1], is at most its value:
+    psi if fractional, 2 (holds on any draw) if 1 and -1 (fails) if 0."""
+    return np.where(psi == 1.0, 2.0, np.where(psi == 0.0, -1.0, psi))
 
 
 class LiftPlan:
-    """Precise configurations of a lift as bit arrays.
+    """Precise configurations of a lift as draws.
 
     ``psi`` holds the vague values, one row per predicate and one column
-    per pixie.  A batch of configurations is a boolean array of shape
-    (batch, predicates, pixies), produced either by ``enumerate`` (every
-    configuration with its weight, in a fixed order) or by ``sample`` (one
-    configuration per row of uniforms in (0, 1], ``draws`` of them per
-    configuration).
+    per pixie.  A batch of configurations is a (batch, ``draws``) array of
+    draws in [0, 1]: cell (k, j) holds where draw ``column[k, j]`` is at
+    most ``leaf_values(psi)[k, j]`` (``column`` is None where every cell is
+    0 or 1).  ``enumerate`` gives every configuration with its weight, in a
+    fixed order; uniforms in (0, 1] are sampled draws as they stand.
 
-    Independent: each strictly fractional entry is a coin that holds with
-    probability psi (sampled as ``u <= psi``); entries in {0, 1} are
-    fixed.  Coupled-threshold: each predicate has one threshold, and a
+    Independent: each strictly fractional entry is a coin, one draw each,
+    that holds with probability psi; entries in {0, 1} are fixed.
+    Coupled-threshold: each predicate has one threshold, its draw, and a
     configuration is the super-level set ``psi >= theta``; enumeration
     takes one threshold region per predicate, weighted by its length.
     """
 
     def __init__(self, psi: np.ndarray, scheme: LiftScheme):
         self.scheme = scheme
-        self.psi = psi
         if scheme is LiftScheme.INDEPENDENT:
-            fractional = (self.psi > 0.0) & (self.psi < 1.0)
-            self._entries = np.nonzero(fractional)
-            self._p = self.psi[fractional]
+            fractional = (psi > 0.0) & (psi < 1.0)
+            self._p = psi[fractional]
             self.count = 2 ** len(self._p)
             self.draws = len(self._p)
+            # coin k reads draw k; a fixed cell reads some draw and ignores it
+            self.column = np.cumsum(fractional).reshape(psi.shape) - 1 if self.count > 1 else None
         elif scheme is LiftScheme.COUPLED_THRESHOLD:
-            _, lo, self._hi, self._starts, self._counts = threshold_regions(self.psi)
+            _, lo, self._hi, self._starts, self._counts = threshold_regions(psi)
             self._measure = self._hi - lo
             self.count = math.prod(self._counts.tolist())
             self.draws = len(psi)
+            rows = np.arange(self.draws)[:, None].repeat(psi.shape[1], axis=1)
+            self.column = rows if self.count > 1 else None
         else:
             raise ValueError(f"unknown lifting scheme {scheme!r}")
 
     def check(self, cap: int) -> None:
-        if self.count > cap:
+        if self.count > max(cap, 1):  # one configuration enumerates nothing
             raise ExplosionGuard(
                 f"{self.scheme.value} lift needs {self.count} configurations (cap {cap})",
                 count=self.count,
@@ -365,42 +365,30 @@ class LiftPlan:
             )
 
     def enumerate(self, start: int, stop: int):
-        """Configurations ``start`` to ``stop`` and their weights.
+        """Draws of configurations ``start`` to ``stop`` and their weights.
 
         The order is that of ``itertools.product`` over the choices: the
         first fractional entry (independent) or the first predicate
-        (coupled) varies slowest, holding before not holding and low
-        thresholds before high ones.
+        (coupled) varies slowest, holding (draw 0) before not holding
+        (draw 1) and low thresholds (draw ``hi``) before high ones.
         """
         index = np.arange(start, stop, dtype=np.int64)
         weights = np.ones(len(index))
         if self.scheme is LiftScheme.INDEPENDENT:
-            n = len(self._p)
-            holds = (index[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 0
+            draws = ((index[:, None] >> np.arange(self.draws - 1, -1, -1)) & 1).astype(float)
             for k, p in enumerate(self._p.tolist()):
-                weights *= np.where(holds[:, k], p, 1.0 - p)
-            return self._fill(holds), weights
+                weights *= np.where(draws[:, k] == 0.0, p, 1.0 - p)
+            return draws, weights
         picks = []
         for count in reversed(self._counts.tolist()):
             picks.append(index % count)
             index = index // count
-        bits = np.empty((len(weights), *self.psi.shape), dtype=bool)
+        draws = np.empty((len(weights), self.draws))
         for k, pick in enumerate(reversed(picks)):
             pick = self._starts[k] + pick
             weights *= self._measure[pick]
-            bits[:, k] = self.psi[k] >= self._hi[pick][:, None]
-        return bits, weights
-
-    def sample(self, uniforms: np.ndarray) -> np.ndarray:
-        """One configuration per row of ``uniforms`` (shape (n, draws))."""
-        if self.scheme is LiftScheme.INDEPENDENT:
-            return self._fill(uniforms <= self._p)
-        return self.psi >= uniforms[:, :, None]
-
-    def _fill(self, holds):
-        bits = np.repeat((self.psi == 1.0)[None], len(holds), axis=0)
-        bits[:, self._entries[0], self._entries[1]] = holds
-        return bits
+            draws[:, k] = self._hi[pick]
+        return draws, weights
 
 
 def lift(
@@ -418,10 +406,16 @@ def lift(
     generating threshold interval; predicates remain independent of one
     another.  Both schemes marginalise back to psi exactly.
     """
-    plan = LiftPlan(psi_table(lexicon, space), scheme)
-    plan.check(cap)
-    bits, weights = plan.enumerate(0, plan.count)
+    # psi: one row per predicate in sorted name order, one column per pixie
     names = sorted(lexicon.predicates)
+    psi = np.array([[lexicon.psi(n, px) for px in space.elements] for n in names],
+                   dtype=float).reshape(len(names), len(space.elements))
+    plan = LiftPlan(psi, scheme)
+    plan.check(cap)
+    draws, weights = plan.enumerate(0, plan.count)
+    # without a column every cell is fixed and holds or fails on any draw
+    read = np.zeros((1, *psi.shape)) if plan.column is None else draws[:, plan.column]
+    bits = read <= leaf_values(psi)
     configs = tuple(
         (PreciseLexicon({n: dict(zip(space.elements, row))
                          for n, row in zip(names, table)}), w)

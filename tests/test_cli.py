@@ -149,6 +149,36 @@ def test_eval_rejects_negative_caps(capsys, flag):
     assert (code, out, err) == (0, '{"engine": "naive", "probability": 0.0}\n', "")
 
 
+CRISP_DONKEYS = ["donkey_half", "donkey_prop000", "donkey_prop050", "donkey_prop100",
+                 "donkey_threequarters"]
+
+
+@pytest.mark.parametrize("scheme", ["independent", "coupled-threshold"])
+@pytest.mark.parametrize("world", CRISP_DONKEYS)
+def test_cap_of_zero_passes_one_configuration(capsys, world, scheme):
+    # a crisp world lifts to one configuration, which enumerates nothing
+    argv = ["eval", "--world", str(FIXTURES / f"{world}.world.json"),
+            "--prop", str(FIXTURES / "donkey.prop"), "--scheme", scheme]
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    assert run_cli(capsys, *argv, "--cap-configs", "0") == default
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--cap-configs", "0"), "independent lift needs 4 count states (cap 0)"),
+        (("--cap-configs", "0", "--scheme", "coupled-threshold"),
+         "coupled-threshold lift needs 3 configurations (cap 0)"),
+        (("--cap-vague-nodes", "0"), "1 vague quantifier node exceeds the cap of 0"),
+    ],
+)
+def test_cap_of_zero_stops_vague_lifts(capsys, extra, message):
+    argv = ["eval", "--world", str(FIXTURES / "dog_barks.world.json"),
+            "--prop", str(FIXTURES / "dog_barks.prop")]
+    assert run_cli(capsys, *argv, *extra) == (2, "", f"error: {message}\n")
+
+
 BLUE_W = [
     "unknown predicate 'blue' at node 1",
     "unknown variable 'w' at node 1",

@@ -1,7 +1,9 @@
 import math
+import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import quantale as q
@@ -197,6 +199,31 @@ def test_mc_determinism_and_ci():
         for s in range(5)
     }
     assert len(estimates) > 1
+
+
+@pytest.mark.parametrize("samples, seed, name", [
+    (True, 0, "samples"), (10.0, 0, "samples"), ("10", 0, "samples"), (None, 0, "samples"),
+    (10, False, "seed"), (10, 1.5, "seed"), (10, None, "seed"), (10, "3", "seed"),
+])
+def test_mc_rejects_non_integer_samples_and_seed(monkeypatch, samples, seed, name):
+    model, lexicon = red_world(0.7)
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    value = seed if name == "seed" else samples
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        q.eval_mc(quant_over_tautology("every"), model, lexicon, samples=samples, seed=seed)
+
+
+def test_mc_accepts_numpy_integers():
+    model, lexicon = red_world(0.7)
+    graph = quant_over_tautology("every")
+    plain = q.eval_mc(graph, model, lexicon, samples=300, seed=4)
+    result = q.eval_mc(graph, model, lexicon, samples=np.int64(300), seed=np.uint32(4))
+    assert result == plain
+    assert (type(result.samples), type(result.seed)) == (int, int)
 
 
 def test_mc_degenerate_ci():

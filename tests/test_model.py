@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 import quantale as q
@@ -185,3 +188,98 @@ def test_red_world_builder():
     model, lexicon = red_world(0.7)
     assert model.marginal(("x",)) == {("x1",): 1.0}
     assert lexicon.psi("red", "x1") == 0.7
+
+
+def leaf_case(rng):
+    """Model, lexicon and ``(some (x) true (and (p0 x) ...))`` over one row
+    per pixie, with psi cells at 0, 1 and fractions (ties included): every
+    application reads its predicate's cells in pixie order."""
+    n_preds, n_pixies = rng.randint(1, 3), rng.randint(1, 4)
+    pixies = tuple(f"a{j}" for j in range(n_pixies))
+    share = rng.choice((0.0, 0.3, 0.7))  # 0: every cell crisp, no draws
+    psi = [[rng.choice((rng.randint(1, 7) / 8, 0.25, 0.75)) if rng.random() < share
+            else float(rng.random() < 0.5) for _ in pixies] for _ in range(n_preds)]
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",),
+                             tuple(((p,), 1.0 / n_pixies) for p in pixies))
+    names = [f"p{k}" for k in range(n_preds)]
+    lexicon = q.VagueLexicon({n: q.VaguePredicate(n, dict(zip(pixies, row)))
+                              for n, row in zip(names, psi)})
+    apps = " ".join(f"({n} x)" for n in names)
+    return model, lexicon, q.parse_prop(f"(some (x) true (and {apps}))"), np.array(psi)
+
+
+def reference_bits(psi, scheme, draws):
+    """Per row of ``draws``, the configuration as the schemes define it:
+    independent coins in row-major order hold where ``u <= p`` and other
+    cells where ``psi == 1``; coupled predicate k holds where
+    ``psi >= theta_k``."""
+    if scheme is q.LiftScheme.COUPLED_THRESHOLD:
+        return psi[None] >= draws[:, :, None]
+    bits = np.repeat((psi == 1.0)[None], len(draws), axis=0)
+    for c, (k, j) in enumerate(zip(*np.nonzero((psi > 0.0) & (psi < 1.0)))):
+        bits[:, k, j] = draws[:, c] <= psi[k, j]
+    return bits
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("scheme", list(q.LiftScheme))
+def test_leaf_rule_matches_the_schemes(seed, scheme):
+    from quantale.engine import _Core
+    from quantale.model import LiftPlan
+
+    rng = random.Random(seed)
+    model, lexicon, graph, psi = leaf_case(rng)
+    core = _Core(graph, model, lexicon, crisp=True)
+    assert np.array_equal(core.psi, psi)
+    plan = LiftPlan(core.psi, scheme)
+    reads = core.reads(plan.column)
+    assert (reads is None) == ((psi == 0.0) | (psi == 1.0)).all()
+    apps = sorted(core.cells, key=lambda i: core.cells[i][0])  # in predicate order
+    sampled = 1.0 - np.random.default_rng(seed).random((50, plan.draws))
+    enumerated, weights = plan.enumerate(0, plan.count)
+    for draws in (sampled, enumerated):
+        tables = core.leaves(draws, reads)
+        got = np.stack([tables[i] for i in apps], axis=1)
+        assert np.array_equal(got, reference_bits(psi, scheme, draws))
+    # the enumeration is the lift: every configuration once, weights summing to 1
+    assert len({bits.tobytes() for bits in reference_bits(psi, scheme, enumerated)}) == plan.count
+    assert math.fsum(weights.tolist()) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_lift(lexicon, scheme, space):
+    """The lift written out: configurations in ``itertools.product`` order
+    of the choices, weights multiplied in that order."""
+    names = sorted(lexicon.predicates)
+    psi = [[lexicon.psi(n, px) for px in space.elements] for n in names]
+    configs = []
+    if scheme is q.LiftScheme.INDEPENDENT:
+        coins = [(k, j) for k, row in enumerate(psi) for j, p in enumerate(row) if 0.0 < p < 1.0]
+        for holds in itertools.product((True, False), repeat=len(coins)):
+            bits, weight = [[p == 1.0 for p in row] for row in psi], 1.0
+            for (k, j), h in zip(coins, holds):
+                bits[k][j] = h
+                weight *= psi[k][j] if h else 1.0 - psi[k][j]
+            configs.append((bits, weight))
+    else:
+        choices = []
+        for row in psi:
+            cuts = sorted({p for p in row if 0.0 < p < 1.0}) + [1.0]
+            choices.append([(hi - lo, [p >= hi for p in row])
+                            for lo, hi in zip([0.0] + cuts[:-1], cuts)])
+        for combo in itertools.product(*choices):
+            weight = 1.0
+            for measure, _ in combo:
+                weight *= measure
+            configs.append(([bits for _, bits in combo], weight))
+    return q.LiftedLexicon(tuple(
+        (q.PreciseLexicon({n: dict(zip(space.elements, row)) for n, row in zip(names, bits)}), w)
+        for bits, w in configs), scheme)
+
+
+@pytest.mark.parametrize("scheme", list(q.LiftScheme))
+def test_lift_matches_the_reference_on_fixtures(fixtures_dir, scheme):
+    worlds = sorted(fixtures_dir.glob("*.world.json"))
+    assert len(worlds) == 10
+    for path in worlds:
+        model, lexicon = q.parse_world(path.read_text())
+        assert q.lift(lexicon, scheme, model.space) == reference_lift(lexicon, scheme, model.space)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -32,7 +33,7 @@ def test_demo_script_runs(script, args):
     assert result.stdout.strip()
 
 
-def test_bench_ab_summarises_pairs():
+def test_bench_ab_summarises_pairs(monkeypatch, capsys):
     # medians per side, their ratio, and the pairs the working tree won,
     # by each metric's direction
     import importlib.util
@@ -55,3 +56,35 @@ def test_bench_ab_summarises_pairs():
                                               "base_iqr": 2.0, "work_better": 2}
     assert summary["metrics"]["ops_per_s"] == {"base": 100.0, "work": 120.0, "ratio": 1.2,
                                                "base_iqr": 20.0, "work_better": 2}
+
+    # main: one line per workload, BENCHMARK.json's four by default, sides
+    # alternating which goes first
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        work = tree == ROOT
+        calls.append((work, workload, seed))
+        assert seconds == bench["run_seconds"]
+        values = {m["name"]: 1.0 if work else 2.0 for m in bench["end_to_end"]}
+        return {"correct": True, "metrics": {n: {"value": v} for n, v in values.items()}}
+
+    monkeypatch.setattr(bench_ab, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_ab, "run_bench", fake_run)
+    assert bench_ab.main(["--base", "HEAD", "--seeds", "3", "4"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    names = [w["name"] for w in bench["workloads"]]
+    assert [line["workload"] for line in lines] == names == ["exact-dense", "exact-vague",
+                                                              "mc", "rsa-cli"]
+    assert calls == [(work, name, seed) for name in names
+                     for seed, first in ((3, False), (4, True)) for work in (first, not first)]
+    for line in lines:
+        assert (line["base"], line["seeds"], line["pairs"]) == ("HEAD", [3, 4], 2)
+        assert line["metrics"]["op_p50_s"]["work_better"] == 2
+        assert line["metrics"]["ops_per_s"]["work_better"] == 0
+        assert set(line["metrics"]) == {m["name"] for m in bench["end_to_end"]}
+    calls.clear()
+    assert bench_ab.main(["--base", "HEAD", "--workload", "mc", "exact-dense", "--seeds", "5"]) == 0
+    assert [json.loads(line)["workload"] for line in capsys.readouterr().out.splitlines()] == [
+        "mc", "exact-dense"]
+    assert [workload for _, workload, _ in calls] == ["mc", "mc", "exact-dense", "exact-dense"]
