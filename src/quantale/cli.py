@@ -69,9 +69,6 @@ def _mc_seed(args) -> int:
 
 def cmd_eval(args) -> int:
     model, lexicon, graph = _load_inputs(args)
-    limits = _engine.EngineLimits(
-        config_cap=args.cap_configs, vague_node_cap=args.cap_vague_nodes
-    )
     scheme = LiftScheme(args.scheme or LiftScheme.INDEPENDENT.value)
     if args.engine in (_engine.NAIVE, _engine.GENERIC_FAST) and args.scheme is not None:
         print(
@@ -82,6 +79,7 @@ def cmd_eval(args) -> int:
                       ("--cap-vague-nodes", args.cap_vague_nodes)):
         if cap < 0:
             raise QuantaleError(f"{flag} must be non-negative, got {cap}")
+    limits = _engine.EngineLimits(args.cap_configs, args.cap_vague_nodes)
     seed = _mc_seed(args) if args.engine == _engine.MONTE_CARLO else None
     result = _engine.evaluate(
         graph, model, lexicon, args.engine, scheme, limits,

@@ -19,9 +19,8 @@ from json.decoder import scanstring
 from pathlib import Path
 
 from .engine import EXACT
-from .errors import DslParseError
-from .model import (MASS_TOL, LiftScheme, PixieSpace, SituationModel, VaguePredicate,
-                     VagueLexicon, _joint_total)
+from .errors import DslParseError, InvalidWorld
+from .model import LiftScheme, PixieSpace, SituationModel, VaguePredicate, VagueLexicon
 from .quant import QuantifierKind
 from .rsa import ENGINES, RsaScenario, RsaState, RsaUtterance, World
 from .scope import (
@@ -271,8 +270,9 @@ def _check_keys(issues, obj: dict, path, required, optional=()) -> bool:
 def parse_world(text: str) -> tuple[SituationModel, VagueLexicon]:
     """Parse a world file into a situation model and vague lexicon.
 
-    Raises DslParseError carrying SourceDiagnostic entries on syntax
-    errors, schema violations, or invariant violations.
+    Raises DslParseError carrying SourceDiagnostic entries on syntax and
+    schema errors, and on each ``InvalidWorld`` fault that the model and
+    predicates find, at the part of the file it names.
     """
     return _read(text, _world)
 
@@ -297,13 +297,13 @@ def _world(doc, issues):
     pixies = _names(issues, doc, "pixies", "pixie")
     if doc["pixies"] == []:
         issues("pixie space must be non-empty", ("pixies",))
-    variables = _names(issues, doc, "variables", "variable")
+    variables = tuple(_names(issues, doc, "variables", "variable"))
     if issues:
         return None
 
-    joint: list[tuple[tuple[str, ...], float]] = []
-    seen_assignments = set()
+    joint = {}  # each well-formed row by its index in the file
     if _expect(issues, doc["joint"], list, "'joint'", ("joint",)):
+        mark = len(issues)
         for k, entry in enumerate(doc["joint"]):
             at = ("joint", k)
             if not (_expect(issues, entry, dict, "joint entry", at)
@@ -311,54 +311,51 @@ def _world(doc, issues):
                     and _expect(issues, entry["assign"], dict, "'assign'", at + ("assign",))
                     and _expect(issues, entry["prob"], float, "'prob'", at + ("prob",))):
                 continue
-            assignment = {}
-            for var, pixie in entry["assign"].items():
-                where = at + ("assign", var)
+            assign = entry["assign"]
+            for var, pixie in assign.items():
                 if var not in variables:
-                    issues(f"unknown variable {var!r} in assignment", where, True)
-                elif _expect(issues, pixie, str, "assigned pixie", where):
-                    if pixie in pixies:
-                        assignment[var] = pixie
-                    else:
-                        issues(f"unknown pixie {pixie!r}", where)
-            missing = [v for v in variables if v not in assignment]
+                    issues(f"unknown variable {var!r} in assignment", at + ("assign", var), True)
+                else:
+                    _expect(issues, pixie, str, "assigned pixie", at + ("assign", var))
+            missing = [v for v in variables if not isinstance(assign.get(v), str)]
             if missing:
                 issues(f"assignment missing variables {missing}", at)
-                continue
-            key = tuple(assignment[v] for v in variables)
-            if key in seen_assignments:
-                issues(f"duplicate assignment {key}", at)
-                continue
-            seen_assignments.add(key)
-            mass = entry["prob"]
-            if mass < 0:
-                issues(f"probability {mass} is negative", at + ("prob",))
-                continue
-            joint.append((key, mass))
-        total = _joint_total(mass for _, mass in joint)
-        if not issues and abs(total - 1.0) > MASS_TOL:
-            issues(f"joint mass {total:.12g} ≠ 1", ("joint",))
+            else:
+                joint[k] = (tuple(assign[v] for v in variables), entry["prob"])
+        whole = len(issues) == mark
+        try:
+            model = SituationModel(PixieSpace(tuple(pixies)), variables, tuple(joint.values()))
+        except InvalidWorld as exc:
+            # a fault's index path into the model's joint, such as (k, 0, c) for
+            # row k's pixie c, names the same part of the file
+            keys = (list(joint), ("assign", "prob"), variables)
+            for message, where in exc.faults:
+                if where or whole:  # the total of a partial joint says nothing
+                    issues(message, ("joint", *(key[i] for key, i in zip(keys, where))))
+        # a row's faults after the issues it had here, in row order, the total last
+        issues[mark:] = sorted(issues[mark:], key=lambda issue: issue[1][1:2] or (math.inf,))
 
     predicates: dict[str, VaguePredicate] = {}
     if _expect(issues, doc["predicates"], dict, "'predicates'", ("predicates",)):
         for name, entries in doc["predicates"].items():
             if not _expect(issues, entries, dict, f"predicate {name!r}", ("predicates", name)):
                 continue
+            mark = len(issues)
             table = {}
             for pixie, p in entries.items():
                 where = ("predicates", name, pixie)
                 if pixie not in pixies:
                     issues(f"unknown pixie {pixie!r}", where, True)
                 elif _expect(issues, p, float, "predicate probability", where):
-                    if 0.0 <= p <= 1.0:
-                        table[pixie] = p
-                    else:
-                        issues(f"probability {p} outside [0, 1]", where)
-            predicates[name] = VaguePredicate(name, table)
-    if issues:
-        return None
-    model = SituationModel(PixieSpace(tuple(pixies)), tuple(variables), tuple(joint))
-    return model, VagueLexicon(predicates)
+                    table[pixie] = p
+            try:
+                predicates[name] = VaguePredicate(name, table)
+            except InvalidWorld as exc:
+                for message, (pixie,) in exc.faults:
+                    issues(message, ("predicates", name, pixie))
+                rank = {pixie: i for i, pixie in enumerate(entries)}
+                issues[mark:] = sorted(issues[mark:], key=lambda issue: rank[issue[1][2]])
+    return None if issues else (model, VagueLexicon(predicates))
 
 
 def serialize_world(model: SituationModel, lexicon: VagueLexicon) -> str:

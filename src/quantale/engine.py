@@ -93,6 +93,11 @@ class EngineLimits:
     config_cap: int = DEFAULT_CONFIG_CAP
     vague_node_cap: int = DEFAULT_VAGUE_NODE_CAP
 
+    def __post_init__(self):
+        for name, cap in vars(self).items():
+            if cap < 0:
+                raise ValueError(f"{name} must be non-negative, got {cap}")
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -521,6 +526,8 @@ def eval_mc(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     core = _Core(graph, model, lexicon, generic_empty, crisp=True)
     _check_vague_cap(core, limits)
     plan = LiftPlan(core.psi, scheme)

@@ -38,6 +38,14 @@ class ShapeDomainError(QuantaleError, ValueError):
     """A quantifier shape was queried outside [0, 1]."""
 
 
+class InvalidWorld(QuantaleError, ValueError):
+    """A world breaks an invariant; ``faults`` lists (message, index path of the part at fault)."""
+
+    def __init__(self, faults):
+        super().__init__(faults[0][0])
+        self.faults = list(faults)
+
+
 class AllFalse(QuantaleError):
     """An utterance is false (probability zero) in every state."""
 

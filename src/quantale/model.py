@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ExplosionGuard, UnknownVariable
+from .errors import ExplosionGuard, InvalidWorld, UnknownVariable
 from .quant import threshold_regions
 
 MASS_TOL = 1e-9
@@ -38,16 +38,9 @@ class PixieSpace:
             raise ValueError("pixie space must be non-empty")
         if not all(isinstance(p, str) for p in self.elements):
             raise ValueError("pixie identifiers must be strings")
-        if len(self._members) != len(self.elements):
+        if len(set(self.elements)) != len(self.elements):
             raise ValueError("pixie identifiers must be unique")
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
-
-    @cached_property
-    def _members(self) -> frozenset[str]:
-        return frozenset(self.elements)
-
-    def __contains__(self, pixie):
-        return pixie in self._members
 
 
 def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -59,14 +52,6 @@ def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
                     dtype=float)
 
 
-def _joint_total(masses) -> float:
-    """Correctly rounded sum of non-negative masses (inf past the largest float)."""
-    try:
-        return math.fsum(masses)
-    except OverflowError:
-        return math.inf
-
-
 def _runs(codes: np.ndarray):
     """Runs of equal rows of ``codes`` (rows x columns) in a stable sort of
     them, lexicographic with the first column primary: the sorting order,
@@ -75,7 +60,7 @@ def _runs(codes: np.ndarray):
     n = len(codes)
     order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(n)
     ordered = codes[order]
-    new = np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))
+    new = np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))[:n]
     starts = np.flatnonzero(new)
     run = np.empty(n, dtype=np.intp)
     run[order] = np.cumsum(new) - 1
@@ -93,13 +78,15 @@ class SituationModel:
     """Joint distribution over named pixie-valued variables.
 
     ``joint`` pairs full assignments (tuples aligned with ``variables``)
-    with probability mass.  Mass must be finite, non-negative and total 1
-    within 1e-9; assignments must be total and unique.
+    with probability mass, and is checked here only: assignments name
+    pixies of ``space`` and are unique; masses are non-negative, finite
+    and total 1 within ``MASS_TOL``, correctly rounded.  ``InvalidWorld``
+    gives each faulty row's index path in ``joint``, else the total's ``()``.
 
-    The joint's arrays, its rows over a tuple of variables and their
-    groups are built on first use and kept on the instance: every field
-    is a tuple, so nothing they are derived from can change.  They do not
-    take part in equality, hashing or ``repr``.
+    The joint's arrays are built and checked on construction, its rows
+    over a tuple of variables and their groups on first use; all are kept
+    on the instance: every field is a tuple, so nothing they are derived
+    from can change.  They do not take part in equality, hashing or ``repr``.
     """
 
     space: PixieSpace
@@ -109,24 +96,36 @@ class SituationModel:
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
-        seen = set()
-        members = self.space._members
-        for assignment, mass in self.joint:
+        for assignment, _ in self.joint:
             if len(assignment) != len(self.variables):
                 raise ValueError(f"assignment {assignment} does not cover all variables")
-            if not members.issuperset(assignment):
-                pixie = next(p for p in assignment if p not in members)
-                raise ValueError(f"unknown pixie {pixie!r} in joint assignment")
-            if assignment in seen:
-                raise ValueError(f"duplicate assignment {assignment}")
-            seen.add(assignment)
-            if not math.isfinite(mass):
-                raise ValueError(f"probability {mass} of {assignment} is not finite")
-            if mass < 0:
-                raise ValueError("probabilities must be non-negative")
-        total = _joint_total(mass for _, mass in self.joint)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"joint mass {total} differs from 1 by more than {MASS_TOL}")
+        codes, mass = self._arrays
+        unknown = codes < 0
+        # rows with unknown pixies may repeat each other, but they are unknown first
+        order, starts, _, _ = _runs(codes)
+        repeated = np.ones(len(mass), dtype=bool)
+        repeated[order[starts]] = False  # a run's first row in joint order
+        faults = []
+        bad = unknown.any(axis=1) | repeated | ~((mass >= 0) & (mass < math.inf))
+        for k in np.flatnonzero(bad).tolist():
+            assignment, m = self.joint[k]
+            if unknown[k].any():
+                faults += [(f"unknown pixie {assignment[c]!r} in joint assignment", (k, 0, c))
+                           for c in np.flatnonzero(unknown[k]).tolist()]
+            elif repeated[k]:
+                faults.append((f"duplicate assignment {assignment}", (k,)))
+            else:
+                faults.append((f"probability {m} is negative" if m < 0 else
+                               f"probability {m} of {assignment} is not finite", (k, 1)))
+        if not faults:
+            try:
+                total = math.fsum(m for _, m in self.joint)
+            except OverflowError:
+                total = math.inf
+            if abs(total - 1.0) > MASS_TOL:
+                faults.append((f"joint mass {total} differs from 1 by more than {MASS_TOL}", ()))
+        if faults:
+            raise InvalidWorld(faults)
 
     def __eq__(self, other):
         if not isinstance(other, SituationModel):
@@ -147,9 +146,9 @@ class SituationModel:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``codes[j, c]``, the rank among the sorted pixie identifiers of
-        the pixie that joint row j assigns to variable c, and ``mass[j]``."""
+        the pixie that joint row j assigns to variable c (else -1), and ``mass[j]``."""
         index = {p: k for k, p in enumerate(self.space.elements)}
-        codes = np.array([index[p] for a, _ in self.joint for p in a], dtype=np.intp)
+        codes = np.array([index.get(p, -1) for a, _ in self.joint for p in a], dtype=np.intp)
         mass = np.array([m for _, m in self.joint], dtype=float)
         return _read_only(codes.reshape(len(self.joint), len(self.variables)), mass)
 
@@ -236,15 +235,17 @@ class SituationModel:
 
 @dataclass(frozen=True)
 class VaguePredicate:
-    """Map from pixie to probability of truth; absent pixies mean 0."""
+    """Map from pixie to probability of truth; absent pixies mean 0.  Each
+    probability outside [0, 1] is an ``InvalidWorld`` fault at ``(pixie,)``."""
 
     name: str
     table: dict[str, float]
 
     def __post_init__(self):
-        for pixie, p in self.table.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"psi_{self.name}({pixie}) = {p} outside [0, 1]")
+        faults = [(f"psi_{self.name}({pixie}) = {p} outside [0, 1]", (pixie,))
+                  for pixie, p in self.table.items() if not 0.0 <= p <= 1.0]
+        if faults:
+            raise InvalidWorld(faults)
 
     def psi(self, pixie: str) -> float:
         return self.table.get(pixie, 0.0)

@@ -61,9 +61,6 @@ class ScopeGraph:
     root: int
     aliases: dict[str, int] = field(default_factory=dict)
 
-    def quantifier_nodes(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if isinstance(n, Quantifier)]
-
     def reachable(self) -> set[int]:
         """Nodes reachable from the root; raises like ``topological_order``."""
         return set(_walk(self.nodes, self.root))

@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+import random
 import re
 from unittest import mock
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import quantale as q
 from quantale import dsl
 from quantale.errors import DslParseError
+from quantale.model import MASS_TOL
 
 from conftest import FIXTURES, load_prop, load_world
 
@@ -234,6 +238,84 @@ def test_nesting_inside_an_otherwise_valid_world():
     (diag,) = diagnostics_of(q.parse_world, text)
     assert (diag.message, diag.line, diag.column) == (
         f"nesting deeper than {dsl.MAX_NESTING} levels", 6, 110)
+
+
+# --- world invariants: the model against the parser -----------------------------
+
+def _joint_text(pixies, variables, joint):
+    """A world text with the joint's opening bracket on line 1 and row k on
+    line k + 2; an infinite mass is written 1e400."""
+    head = json.dumps({"pixies": pixies, "variables": variables, "predicates": {}})
+    rows = [f'{{"assign": {json.dumps(dict(zip(variables, a)))}, '
+            f'"prob": {"1e400" if m == math.inf else repr(m)}}}' for a, m in joint]
+    return head[:-1] + ', "joint": [\n' + ",\n".join(rows) + "\n]}"
+
+
+def _random_joint(rng):
+    """Distinct rows over 1-2 variables and 2-4 pixies, dyadic masses summing to 1."""
+    pixies = [f"p{i}" for i in range(rng.randint(2, 4))]
+    variables = ["x", "y"][:rng.randint(1, 2)]
+    cells = list(itertools.product(pixies, repeat=len(variables)))
+    n = rng.randint(2, min(len(cells), 8))
+    cuts = sorted(rng.sample(range(1, 256), n - 1))
+    masses = [(b - a) / 256 for a, b in zip([0] + cuts, cuts + [256])]
+    return pixies, variables, list(zip(rng.sample(cells, n), masses))
+
+
+def _inject(rng, kind, joint):
+    """``joint`` with one fault of ``kind``, and the faulty row (None for the total)."""
+    k = rng.randrange(1, len(joint))
+    assignment, mass = joint[k]
+    if kind == "unknown-pixie":
+        c = rng.randrange(len(assignment))
+        joint[k] = (assignment[:c] + ("ghost",) + assignment[c + 1:], mass)
+    elif kind == "duplicate":
+        joint[k] = (joint[rng.randrange(k)][0], mass)
+    elif kind == "negative":
+        joint[k] = (assignment, -mass)
+    elif kind == "infinite":
+        joint[k] = (assignment, math.inf)
+    else:  # the total off by just past, or just inside, the tolerance
+        joint[k] = (assignment, mass + (1.01 if kind == "total-past" else 0.99) * MASS_TOL)
+        return joint, None
+    return joint, k
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("kind", ["unknown-pixie", "duplicate", "negative", "infinite",
+                                  "total-past", "total-inside"])
+def test_model_and_parser_reject_the_same_joints(kind, seed):
+    rng = random.Random(f"{kind}-{seed}")
+    pixies, variables, joint = _random_joint(rng)
+    joint, row = _inject(rng, kind, joint)
+    text = _joint_text(pixies, variables, joint)
+    try:
+        q.SituationModel(q.PixieSpace(tuple(pixies)), tuple(variables), tuple(joint))
+        raised = False
+    except ValueError:
+        raised = True
+    try:
+        q.parse_world(text)
+        diags = []
+    except DslParseError as exc:
+        diags = exc.diagnostics
+    assert raised == bool(diags) == (kind != "total-inside")
+    if diags:
+        # the faulty row's line, or the joint's for its total
+        assert {d.line for d in diags} == {1 if row is None else row + 2}
+
+
+@pytest.mark.parametrize("joint, expected", [
+    # a model fault before a schema fault, and two model faults
+    ('[{"assign": {"x": "a"}, "prob": -0.5},\n{"assign": {"x": "b"}, "prob": "1"}]',
+     [("probability -0.5 is negative", 4, 44), ("'prob' must be a number", 5, 32)]),
+    ('[{"assign": {"x": "a"}, "prob": 0.5},\n{"assign": {"x": "b"}, "prob": -0.5},\n'
+     '{"assign": {"x": "a"}, "prob": 1}]',
+     [("probability -0.5 is negative", 5, 32), ("duplicate assignment ('a',)", 6, 1)]),
+], ids=["model-then-schema", "two-rows"])
+def test_faults_in_several_rows_come_in_row_order(joint, expected):
+    diags = diagnostics_of(q.parse_world, _world(pixies='["a", "b"]', joint=joint))
+    assert [(d.message, d.line, d.column) for d in diags] == expected
 
 
 # --- the C scanner against the positioned reader --------------------------------

@@ -217,6 +217,24 @@ def test_mc_rejects_non_integer_samples_and_seed(monkeypatch, samples, seed, nam
         q.eval_mc(quant_over_tautology("every"), model, lexicon, samples=samples, seed=seed)
 
 
+def test_mc_rejects_a_negative_seed(monkeypatch):
+    model, lexicon = red_world(0.7)
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=re.escape("seed must be non-negative, got -1")):
+        q.eval_mc(quant_over_tautology("every"), model, lexicon, samples=5, seed=-1)
+
+
+@pytest.mark.parametrize("field", ["config_cap", "vague_node_cap"])
+def test_engine_limits_reject_negative_caps(field):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be non-negative, got -3")):
+        q.EngineLimits(**{field: -3})
+    assert getattr(q.EngineLimits(**{field: 0}), field) == 0
+
+
 def test_mc_accepts_numpy_integers():
     model, lexicon = red_world(0.7)
     graph = quant_over_tautology("every")
