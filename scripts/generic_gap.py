@@ -6,10 +6,12 @@ This script samples random vague worlds, runs compare_generic on each,
 and reports the distribution of the absolute gap together with the
 worst offender.
 
-Worlds have 2 to 4 pixies, or ``--pixies`` of them.  Above 4 pixies the
-masses are uniform: the exact engine then sums over (n + 1)(n + 2) / 2
-count states instead of 2^(2n) configurations, so 40 pixies take
-milliseconds.
+Worlds have 2 to 4 pixies of arbitrary masses, or ``--pixies`` of them
+with masses on a dyadic grid: k/1024, a random split of 1.  The exact
+engine sums over count states, the exact pairs of summed masses, which
+number at most 1025 * 1026 / 2 on that grid however many pixies there
+are, instead of 2^(2n) configurations; masses off a common grid would
+give up to 3^n states.
 
 Usage: python scripts/generic_gap.py [--trials N] [--seed S] [--pixies P]
 """
@@ -21,15 +23,18 @@ import random
 import quantale as q
 
 
-def random_world(rng, n_pix):
+def random_world(rng, n_pix, grid):
     pixies = tuple(f"p{i}" for i in range(n_pix))
-    # distinct masses make the count states grow exponentially with n_pix
-    weights = [1.0 if n_pix > 4 else rng.random() + 0.05 for _ in pixies]
-    total = sum(weights)
+    if grid:
+        cuts = sorted(rng.sample(range(1, 1024), n_pix - 1))
+        masses = [(b - a) / 1024 for a, b in zip([0, *cuts], [*cuts, 1024])]
+    else:
+        weights = [rng.random() + 0.05 for _ in pixies]
+        masses = [w / sum(weights) for w in weights]
     model = q.SituationModel(
         q.PixieSpace(pixies),
         ("x",),
-        tuple(((px,), w / total) for px, w in zip(pixies, weights)),
+        tuple(((px,), m) for px, m in zip(pixies, masses)),
     )
     lexicon = q.VagueLexicon(
         {
@@ -47,15 +52,16 @@ def main():
     parser.add_argument("--pixies", type=int, default=None,
                         help="pixies per world (default: 2 to 4 at random)")
     args = parser.parse_args()
-    if args.pixies is not None and args.pixies < 1:
-        parser.error("--pixies must be at least 1")
+    if args.pixies is not None and not 1 <= args.pixies <= 1024:
+        parser.error("--pixies must be between 1 and 1024")
 
     rng = random.Random(args.seed)
     graph = q.parse_prop("(generic (x) (r x) (b x))")
     gaps = []
     worst = None
     for _ in range(args.trials):
-        model, lexicon = random_world(rng, args.pixies or rng.randint(2, 4))
+        model, lexicon = random_world(rng, args.pixies or rng.randint(2, 4),
+                                      grid=args.pixies is not None)
         report = q.compare_generic(graph, model, lexicon)
         gaps.append(report.gap)
         if worst is None or report.gap > worst[0].gap:

@@ -247,11 +247,11 @@ def _read(text: str, schema, *args):
     raise DslParseError([reader.error(*issue) for issue in issues])
 
 
-_TYPE_NAMES = {dict: "object", list: "array", str: "string", float: "number"}
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
 
 
 def _expect(issues, value, kind, what: str, path) -> bool:
-    return isinstance(value, kind) or issues(f"{what} must be a {_TYPE_NAMES[kind]}", path)
+    return isinstance(value, kind) or issues(f"{what} must be {_TYPE_NAMES[kind]}", path)
 
 
 def _check_keys(issues, obj: dict, path, required, optional=()) -> bool:

@@ -29,7 +29,8 @@ carries whatever one pass is evaluated for:
   region cut by the node's values, weighted by the region's length; the
   branches continue as batch rows.  Under the independent lift, a graph
   whose one quantifier is its root and whose applications all read one
-  variable has independent rows, summed over count states (``_counted``).
+  variable has independent rows, summed over count states: the exact
+  sums of the masses that hold r, and r and b (``_counted``).
 * ``eval_mc`` runs chunks of uniform draws, one per draw of the lift plan
   and one threshold per vague quantifier node, and keeps a vague node's
   value where it is at least the threshold.  It reports a binomial
@@ -374,20 +375,11 @@ def _enumerated(core, scheme, cap):
     return math.fsum(np.concatenate(terms))
 
 
-def _count_sums(counts, masses, fixed):
-    """Correctly rounded ``sum(fixed) + counts[s] @ masses`` per state s.
-
-    Each mass is an integer over a power of two, so over the largest of
-    those denominators every sum is an exact integer; Python's integer
-    true division then rounds it correctly.
-    """
-    ratios = [m.as_integer_ratio() for m in [*masses, *fixed]]
-    scale = max((d for _, d in ratios), default=1)
-    ints = [n * (scale // d) for n, d in ratios]
-    k = len(masses)
-    sums = counts.astype(np.int64).astype(object) @ np.array(ints[:k], dtype=object)
-    base = sum(ints[k:])
-    return np.array([(s + base) / scale for s in sums.tolist()], dtype=float)
+def _unit_sums(units, unit, base, scale):
+    """Correctly rounded ``(units * unit + base) / scale`` per entry of the
+    integer array ``units``: Python's integer true division rounds the
+    exact quotient."""
+    return np.array([(v * unit + base) / scale for v in units.tolist()], dtype=float)
 
 
 def _counted(core, cap):
@@ -397,32 +389,41 @@ def _counted(core, cap):
     probabilities q[j] = (P(r=0), P(r=1, b=0), P(r=1, b=1)), found by
     evaluating the graph once on every pattern of the predicates with
     fractional cells, a pattern giving each one draw, 0 (holds) or 1.  A
-    count state says, per distinct mass of the rows with fractional
-    cells, how many of them hold r and how many hold r and b; the other
-    rows hold one outcome each.  A state's sums are the correctly rounded
-    ones that enumeration computes (``_count_sums``), and a convolution
-    over the rows (Poisson binomial) gives its probability.  A vague root
-    is worth its value f, since E[f >= theta] = f.  The rows, and so the
-    classes and each convolution, come in pixie-name order (the sorted
+    count state (D, N) sums the masses of the rows with fractional cells
+    that hold r, and that hold r and b, in units: every mass is an integer
+    over the largest denominator (a power of two), and a unit is the gcd of
+    those rows' integers, so uniform masses count one unit each.  The other
+    rows hold one outcome each and add a fixed integer to both sums.  A
+    state's sums are then the correctly rounded ones that enumeration
+    computes, and a convolution over the rows (Poisson binomial) gives its
+    probability, each row moving a state by (0, 0), (u, 0) or (u, u) units
+    with q0, q1 and q2.  A vague root is worth its value f, since
+    E[f >= theta] = f.  The rows come in pixie-name order (the sorted
     ``space.elements``): equal models give equal bits.
     """
     root = core.graph.nodes[core.graph.root]
     psi = core.psi[:, next(iter(core.cells.values()))[1]]  # (predicates, rows)
     fractional = (psi > 0.0) & (psi < 1.0)
-    cells = fractional.sum(axis=0)
+    cells = fractional.sum(axis=0).tolist()
     varying = np.flatnonzero(fractional.any(axis=1))
+    rows = [j for j, c in enumerate(cells) if c]
     mass = core.mass.tolist()
-    classes: dict[float, list[int]] = {}
-    for j in np.flatnonzero(cells).tolist():
-        classes.setdefault(mass[j], []).append(j)
-    # A class of u rows holding f fractional cells has at most as many
-    # states as count pairs (u + 1)(u + 2) / 2 and as configurations 2^f;
-    # neither this nor the 2^len(varying) patterns exceeds the enumeration.
-    states = 1
-    for rows in classes.values():
-        u, f = len(rows), int(cells[rows].sum())
-        states *= min((u + 1) * (u + 2) // 2, 2**f)
-    count = max(states, 2 ** len(varying))
+    ratios = [m.as_integer_ratio() for m in mass]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    unit = math.gcd(*(ints[j] for j in rows))
+    units = [ints[j] // unit for j in rows]
+    side = sum(units) + 1  # 0 <= N <= D <= side - 1
+    # The states number at most the pairs 0 <= N <= D < side, and at most
+    # the product over mass classes of a class's count pairs: u rows with f
+    # fractional cells give at most (u + 1)(u + 2) / 2 and 2^f.  Neither
+    # bound nor the 2^len(varying) patterns exceeds the enumeration.
+    classes: dict[float, tuple[int, int]] = {}
+    for j in rows:
+        u, f = classes.get(mass[j], (0, 0))
+        classes[mass[j]] = (u + 1, f + cells[j])
+    product = math.prod(min((u + 1) * (u + 2) // 2, 2**f) for u, f in classes.values())
+    count = max(2 ** len(varying), min(product, side * (side + 1) // 2))
     if count > max(cap, 1):  # one state enumerates nothing
         raise ExplosionGuard(
             f"independent lift needs {count} count states (cap {cap})",
@@ -444,39 +445,26 @@ def _counted(core, cap):
     weight = np.where(pattern[:, :, None], psi[varying], 1.0 - psi[varying]).prod(axis=1)
     q = np.stack([(weight * (outcome == t)).sum(axis=0) for t in range(3)], axis=1)
 
+    # states as sorted keys D * side + N, exact integers; a row of u units
+    # moves each by 0, (u, 0) or (u, u) with q0, q1 and q2, and bincount
+    # adds a key's terms onto 0 in that order
+    keys = np.zeros(1, dtype=np.int64 if side * side < 2**63 else object)
+    prob = np.ones(1)
+    moves = np.array(units, keys.dtype)[:, None] * np.array((0, side, side + 1), keys.dtype)
+    for j, shift in zip(rows, moves):
+        p = q[j]
+        if not p.all():  # a zero term moves nothing
+            shift, p = shift[p > 0.0], p[p > 0.0]
+        moved = (keys + shift[:, None]).ravel()
+        merged = np.sort(moved, kind="stable")  # merges the sorted runs
+        keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+        prob = np.bincount(keys.searchsorted(moved), (p[:, None] * prob).ravel())
+
     # a row without fractional cells has one outcome, with q = 1
-    fixed = cells == 0
-    den_fixed = core.mass[fixed & (q[:, 0] == 0.0)].tolist()
-    num_fixed = core.mass[fixed & (q[:, 2] == 1.0)].tolist()
-    dists = []
-    for rows in classes.values():
-        # dist[a, k]: probability that a of the rows hold r and k hold r and b
-        dist = np.zeros((len(rows) + 1, len(rows) + 1))
-        dist[0, 0] = 1.0
-        for q0, q1, q2 in q[rows].tolist():
-            grown = q0 * dist
-            grown[1:] += q1 * dist[:-1]
-            grown[1:, 1:] += q2 * dist[:-1, :-1]
-            dist = grown
-        a, k = np.nonzero(dist)
-        dists.append((a, k, dist[a, k]))
-    masses = list(classes)
-    total = math.prod(len(p) for _, _, p in dists)
-    step = max(1, CHUNK_CELLS // (2 * len(masses) + 1))
-    terms = []
-    for start in range(0, total, step):
-        state = np.arange(start, min(start + step, total))
-        prob = np.ones(len(state))
-        held = np.empty((len(state), len(dists)))
-        both = np.empty((len(state), len(dists)))
-        for c, (a, k, p) in enumerate(dists):
-            state, pick = np.divmod(state, len(p))
-            prob *= p[pick]
-            held[:, c], both[:, c] = a[pick], k[pick]
-        den = _count_sums(held, masses, den_fixed)
-        num = _count_sums(both, masses, num_fixed)
-        terms.append(prob * core.shape(root.kind, num, den))
-    return math.fsum(np.concatenate(terms))
+    fixed = [j for j, c in enumerate(cells) if not c]
+    num = _unit_sums(keys % side, unit, sum(ints[j] for j in fixed if q[j, 2] == 1.0), scale)
+    den = _unit_sums(keys // side, unit, sum(ints[j] for j in fixed if q[j, 0] == 0.0), scale)
+    return math.fsum(prob * core.shape(root.kind, num, den))
 
 
 def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,

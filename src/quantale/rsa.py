@@ -51,6 +51,8 @@ class RsaScenario:
     ``alpha`` is the speaker rationality; ``math.inf`` means the
     maximizing speaker (uniform over argmax utterances).  ``engine``, one
     of ``ENGINES``, selects how utterance meanings are evaluated per state.
+    Priors are non-negative and sum to 1 within ``MASS_TOL``; costs are
+    finite and non-negative.
     """
 
     states: tuple[RsaState, ...]
@@ -66,12 +68,20 @@ class RsaScenario:
         for kind, items in (("state", self.states), ("utterance", self.utterances)):
             if len({x.id for x in items}) != len(items):
                 raise ValueError(f"duplicate {kind} ids")
-        total = math.fsum(s.prior for s in self.states)
+        for s in self.states:
+            if not s.prior >= 0.0:  # negative or NaN; an infinite prior fails the sum
+                raise ValueError(f"state {s.id!r} has prior {s.prior!r}, not a non-negative number")
+        try:
+            total = math.fsum(s.prior for s in self.states)
+        except OverflowError:  # finite priors whose sum exceeds the largest float
+            total = math.inf
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"state priors sum to {total:.12g} ≠ 1")
         for u in self.utterances:
             if not math.isfinite(u.cost):
                 raise ValueError(f"utterance {u.id!r} has a non-finite cost")
+            if u.cost < 0.0:
+                raise ValueError(f"utterance {u.id!r} has a negative cost")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.engine not in ENGINES:

@@ -427,6 +427,24 @@ def test_rsa_utterance_false_in_every_state(capsys, tmp_path):
     assert err == "error: utterance 'donkey' is false in every state\n"
 
 
+def test_rsa_overflowing_priors_are_a_diagnostic(capsys, tmp_path):
+    # two priors of 1e308 overflow their sum: a scenario diagnostic, not a
+    # traceback
+    scenario = tmp_path / "scenario.json"
+    world = str(FIXTURES / "red.world.json")
+    scenario.write_text(json.dumps({
+        "states": [{"id": "a", "prior": 1e308, "world": world},
+                   {"id": "b", "prior": 1e308, "world": world}],
+        "utterances": [{"id": "u", "prop": "true"}],
+    }))
+    code, out, err = run_cli(capsys, "rsa", "--scenario", str(scenario), "--agent", "l0",
+                             "--utterance", "u")
+    assert code == 1
+    assert err == "error: state priors sum to inf ≠ 1 (line 1, column 1)\n"
+    assert [d["message"] for d in json.loads(out)["diagnostics"]] == [
+        "state priors sum to inf ≠ 1"]
+
+
 def test_deep_nesting_is_a_diagnostic(capsys, tmp_path):
     # far deeper than the readers could recurse: a positioned diagnostic on
     # stderr and stdout, exit 1, for a world, a prop and a scenario's prop

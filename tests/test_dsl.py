@@ -167,9 +167,9 @@ INVALID_WORLDS = [
     ("empty-pixies", _world(pixies="[]"), [("pixie space must be non-empty", 2, 13)]),
     ("duplicate-variable", _world(variables='["x", "x"]'),
      [("duplicate variable 'x'", 3, 22)]),
-    ("joint-entry-not-object", _world(joint="[1]"), [("joint entry must be a object", 4, 13)]),
+    ("joint-entry-not-object", _world(joint="[1]"), [("joint entry must be an object", 4, 13)]),
     ("assign-not-object", _world(joint='[{"assign": [], "prob": 1}]'),
-     [("'assign' must be a object", 4, 24)]),
+     [("'assign' must be an object", 4, 24)]),
     ("prob-not-number", _world(joint='[{"assign": {"x": "a"}, "prob": "1"}]'),
      [("'prob' must be a number", 4, 44)]),
     ("unknown-variable", _world(joint='[{"assign": {"x": "a", "z": "a"}, "prob": 1}]'),
@@ -181,7 +181,7 @@ INVALID_WORLDS = [
      _world(joint='[{"assign": {"x": "a"}, "prob": 0.5}, {"assign": {"x": "a"}, "prob": 0.5}]'),
      [("duplicate assignment ('a',)", 4, 50)]),
     ("predicate-not-object", _world(predicates='{"p": [0.5]}'),
-     [("predicate 'p' must be a object", 5, 23)]),
+     [("predicate 'p' must be an object", 5, 23)]),
     ("predicate-probability-not-number", _world(predicates='{"p": {"a": "0.5"}}'),
      [("predicate probability must be a number", 5, 29)]),
     ("true", _world(joint='[{"assign": {"x": "a"}, "prob": true}]'),
@@ -207,7 +207,7 @@ def test_snippet_lines_break_only_at_newlines():
     # position or the snippet
     text = '{"pixies": ["a\fb"],\n "variables": 1, "joint": [], "predicates": {}}'
     (diag,) = diagnostics_of(q.parse_world, text)
-    assert (diag.message, diag.line, diag.column) == ("'variables' must be a array", 2, 15)
+    assert (diag.message, diag.line, diag.column) == ("'variables' must be an array", 2, 15)
     assert diag.snippet == ' "variables": 1, "joint": [], "predicates": {}}'
 
 
@@ -515,7 +515,7 @@ def test_nesting_limit():
     message = f"nesting deeper than {dsl.MAX_NESTING} levels"
     assert dsl.MAX_NESTING == 100
     (diag,) = diagnostics_of(q.parse_world, "[" * 100 + "]" * 100)
-    assert diag.message == "world document must be a object"
+    assert diag.message == "world document must be an object"
     (diag,) = diagnostics_of(q.parse_world, "[" * 101 + "]" * 101)
     assert (diag.message, diag.line, diag.column) == (message, 1, 101)
 

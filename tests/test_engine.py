@@ -1,7 +1,10 @@
 import math
+import random
 import re
 import time
 import tracemalloc
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -414,6 +417,87 @@ def test_nested_quantifiers_still_enumerate():
     with pytest.raises(ExplosionGuard) as caught:
         q.eval_exact(graph, model, lexicon)
     assert (caught.value.count, caught.value.cap) == (2**22, 2**20)
+
+
+def _seven_class_world(n_pixies):
+    """Masses in units 20, 22, 24, 27, 31, 26 and 30, round-robin, the last
+    row topped up so that the units fill a power of two (exactly 1024 at
+    40 pixies); every r and b entry k/256 from ``random.Random(0)``.
+    Returns (model, lexicon, masses as Fractions, r, b), in pixie order."""
+    units = [(20, 22, 24, 27, 31, 26, 30)[i % 7] for i in range(n_pixies)]
+    grid = 1 << (sum(units) - 1).bit_length()
+    units[-1] += grid - sum(units)
+    rng = random.Random(0)
+    r, b = ([rng.randint(1, 255) / 256 for _ in units] for _ in "rb")
+    pixies = tuple(f"p{i:02d}" for i in range(n_pixies))
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",),
+                             tuple(((px,), u / grid) for px, u in zip(pixies, units)))
+    lexicon = q.VagueLexicon({name: q.VaguePredicate(name, dict(zip(pixies, values)))
+                              for name, values in (("r", r), ("b", b))})
+    return model, lexicon, [Fraction(u, grid) for u in units], r, b
+
+
+def _every_and_most(masses, r, b):
+    """Exact P(every) and P(most) of ``(Q (x) (r x) (b x))`` under the
+    independent lift.  every holds unless some row holds r and not b;
+    most holds where X = N - (D - N) > 0, the mass of the rows holding r
+    and b less that of the rows holding r and not b, convolved row by row."""
+    every = math.prod(1 - Fraction(ri) * (1 - Fraction(bi)) for ri, bi in zip(r, b))
+    dist = {Fraction(0): Fraction(1)}
+    for m, ri, bi in zip(masses, map(Fraction, r), map(Fraction, b)):
+        grown = defaultdict(Fraction)
+        for x, p in dist.items():
+            grown[x] += p * (1 - ri)
+            grown[x - m] += p * ri * (1 - bi)
+            grown[x + m] += p * ri * bi
+        dist = grown
+    return every, sum(p for x, p in dist.items() if x > 0)
+
+
+def test_counting_path_sums_seven_mass_classes():
+    # per-class count states would number 1,399,680 at 16 pixies and 7.6e9
+    # at 40, over the default cap; the (D, N) mass sums number at most
+    # 513 * 514 / 2 and 1025 * 1026 / 2
+    model, lexicon, masses, r, b = _seven_class_world(16)
+    for kind, expected in zip(("every", "most"), _every_and_most(masses, r, b)):
+        got = q.eval_exact(q.parse_prop(f"({kind} (x) (r x) (b x))"), model, lexicon)
+        assert math.isclose(got.probability, float(expected), rel_tol=0, abs_tol=1e-12), kind
+
+    model, lexicon, *_ = _seven_class_world(40)
+    graph = q.parse_prop("(most (x) (r x) (b x))")
+    with pytest.raises(ExplosionGuard) as caught:
+        q.eval_exact(graph, model, lexicon, limits=q.EngineLimits(config_cap=1025 * 513 - 1))
+    assert caught.value.count == 1025 * 513
+    start = time.perf_counter()
+    exact = q.eval_exact(graph, model, lexicon).probability
+    assert time.perf_counter() - start < 5.0
+    assert 0.01 < exact < 0.99
+    n, z = 20000, 5.0  # a miss has probability below 1e-6
+    p_hat = q.eval_mc(graph, model, lexicon, samples=n, seed=1).probability
+    center = (p_hat + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n))
+    assert center - half <= exact <= center + half
+
+
+def test_counting_guard_raises_before_allocating():
+    # 20 pixies of distinct masses off any common grid: 3^20 count pairs
+    # over the classes, and about 2^55 units in all, both over the cap
+    pixies = tuple(f"p{i:02d}" for i in range(20))
+    weights = [1 / (i + 3) for i in range(20)]
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",),
+                             tuple(((px,), w / sum(weights)) for px, w in zip(pixies, weights)))
+    lexicon = q.VagueLexicon({name: q.VaguePredicate(name, dict.fromkeys(pixies, 0.5))
+                              for name in ("r", "b")})
+    graph = q.parse_prop("(many (x) (r x) (b x))")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExplosionGuard) as caught:
+            q.eval_exact(graph, model, lexicon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (caught.value.count, caught.value.cap) == (3**20, 2**20)
 
 
 def _flat_world():

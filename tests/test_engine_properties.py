@@ -182,6 +182,48 @@ def test_counting_path_matches_oracle_and_enumeration(kind, generic_empty, seed)
         assert counted == enumerated == expected, case
 
 
+@pytest.mark.parametrize("kind", [k.value for k in q.QuantifierKind])
+@given(seeds)
+@settings(max_examples=12, deadline=None)
+def test_counting_path_matches_enumeration_over_mass_classes(kind, seed):
+    # 2 to 9 pixies whose dyadic masses fall in several classes, up to 12
+    # fractional cells; the count states merge rows of unequal mass, and
+    # where test_counting_path_matches_oracle_and_enumeration demands ==
+    # (dyadic terms, 0/1 shapes) the two paths agree to the bit
+    from quantale.engine import _Core, _enumerated
+
+    rng = random.Random(seed)
+    pixies = tuple(f"p{i}" for i in range(rng.randint(2, 9)))
+    units = [rng.randint(1, 6) for _ in pixies]
+    grid = 1 << (sum(units) - 1).bit_length()
+    units[-1] += grid - sum(units)
+    assume(len(set(units)) > 1)
+    model = q.SituationModel(q.PixieSpace(pixies), ("x",),
+                             tuple(((px,), u / grid) for px, u in zip(pixies, units)))
+    fractional_left = 12
+    predicates = {}
+    for name in ("P", "Q", "R"):
+        table = {}
+        for px in pixies:
+            v = rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) if fractional_left else 1.0
+            fractional_left -= 0.0 < v < 1.0
+            table[px] = v
+        predicates[name] = q.VaguePredicate(name, table)
+    lexicon = q.VagueLexicon(predicates)
+    restriction = rng.choice(("true", "(P x)", "(and (P x) (R x))"))
+    body = rng.choice(("(Q x)", "(R x)", "(and (Q x) (P x))"))
+    graph = q.parse_prop(f"({kind} (x) {restriction} {body})")
+    core = _Core(graph, model, lexicon)
+    assert core.countable
+    counted = q.eval_exact(graph, model, lexicon).probability
+    enumerated = min(max(_enumerated(core, q.LiftScheme.INDEPENDENT, 2**20), 0.0), 1.0)
+    case = (q.serialize_prop(graph), model.joint, lexicon, counted, enumerated)
+    if kind in PRECISE_ORACLE_KINDS:
+        assert counted.hex() == enumerated.hex(), case
+    else:
+        assert math.isclose(counted, enumerated, rel_tol=0, abs_tol=1e-15), case
+
+
 def test_vague_oracle_separates_shared_from_duplicated_thresholds():
     # (and #g #g) with one shared generic node keeps its value 0.5, while
     # two textual copies draw independent thresholds: 0.5 * 0.5
@@ -249,9 +291,10 @@ def test_run_sums_are_correctly_rounded(seed):
 @settings(max_examples=100, deadline=None)
 def test_count_sums_are_correctly_rounded(seed):
     # a count state's sums: the masses of rows without fractional cells,
-    # plus k copies of each class mass; compared with math.fsum over every
-    # row's mass bit for bit
-    from quantale.engine import _count_sums
+    # plus k copies of each class mass, counted in units of the class
+    # masses' gcd over the largest denominator; compared with math.fsum
+    # over every row's mass bit for bit
+    from quantale.engine import _unit_sums
 
     rng = random.Random(seed)
 
@@ -261,8 +304,13 @@ def test_count_sums_are_correctly_rounded(seed):
     fixed = [mass() for _ in range(rng.randint(0, 6))]
     masses = [mass() for _ in range(rng.randint(0, 4))]
     counts = [[rng.randint(0, 40) for _ in masses] for _ in range(rng.randint(1, 20))]
-    got = _count_sums(np.array(counts, dtype=float).reshape(len(counts), len(masses)),
-                      np.array(masses), fixed)
+    ratios = [m.as_integer_ratio() for m in fixed + masses]
+    scale = max((d for _, d in ratios), default=1)
+    ints = [n * (scale // d) for n, d in ratios]
+    base, classes = sum(ints[:len(fixed)]), ints[len(fixed):]
+    unit = math.gcd(*classes)
+    units = [sum(k * n // unit for k, n in zip(row, classes)) for row in counts]
+    got = _unit_sums(np.array(units, dtype=object), unit, base, scale)
     expected = [math.fsum(fixed + [m for m, k in zip(masses, row) for _ in range(k)])
                 for row in counts]
     assert got.tolist() == expected

@@ -131,6 +131,23 @@ def test_scenario_rejects_non_finite_costs(cost):
         boolean_scenario(alpha=2.0, costs=(cost, 0.0))
 
 
+@pytest.mark.parametrize("priors, costs, message", [
+    ((-0.5, 1.5), (0.0, 0.0), "state 'a' has prior -0.5, not a non-negative number"),
+    ((math.nan, 1.0), (0.0, 0.0), "state 'a' has prior nan, not a non-negative number"),
+    ((1e308, 1e308), (0.0, 0.0), "state priors sum to inf ≠ 1"),
+    ((0.5, 0.5), (-3.0, 0.0), "utterance 'narrow' has a negative cost"),
+], ids=["negative-prior", "nan-prior", "overflowing-priors", "negative-cost"])
+def test_scenario_refuses_negative_priors_and_costs(priors, costs, message):
+    # a negative prior or cost would give a listener a "posterior" outside
+    # [0, 1]; priors whose sum overflows are refused, not raised through
+    scenario = boolean_scenario()
+    states = tuple(dataclasses.replace(s, prior=p) for s, p in zip(scenario.states, priors))
+    utterances = tuple(dataclasses.replace(u, cost=c) for u, c in zip(scenario.utterances, costs))
+    with pytest.raises(ValueError) as caught:
+        dataclasses.replace(scenario, states=states, utterances=utterances)
+    assert str(caught.value) == message
+
+
 def test_speaker_costs_shift_choice():
     # an expensive narrow utterance loses to wide at infinite alpha
     scenario = boolean_scenario(costs=(10.0, 0.0))

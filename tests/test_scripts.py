@@ -16,6 +16,7 @@ ROOT = FIXTURES.parent
         ("triviality_demo.py", ()),
         ("donkey_readings.py", ()),
         ("generic_gap.py", ("--trials", "20", "--pixies", "40")),
+        ("count_cliff.py", ("--pixies", "4", "6", "--repeat", "1")),
     ],
 )
 def test_demo_script_runs(script, args):
