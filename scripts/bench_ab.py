@@ -8,8 +8,9 @@ one pair per seed and both with that seed, each for BENCHMARK.json's
 per workload: per end-to-end metric, the median of each side, the ratio
 of the medians (working tree over base), the distance between the
 quartiles of the base runs and in how many pairs the working tree did
-better, plus whether every run was correct.  Nothing under ``bench/`` is
-changed.
+better, and whether the working tree's median is worse than the base's
+by more than the metric's relative ``bound``, plus whether every run was
+correct.  Nothing under ``bench/`` is changed.
 
 Usage: python scripts/bench_ab.py --base HEAD~1 [--workload mc exact-dense] --seeds 1 2 3
 """
@@ -44,15 +45,18 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarise(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """Per metric, from (base, work) result documents: medians, their
-    ratio, the base runs' interquartile range and the pairs in which work
-    is better (``better`` maps each metric to "lower" or "higher")."""
+def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric of BENCHMARK.json (``name``, ``better``: "lower"
+    or "higher", relative ``bound``), from (base, work) result documents:
+    medians, their ratio, the base runs' interquartile range, the pairs in
+    which work is better, and whether the work median is worse than the
+    base median by more than the bound (also listed under ``regressed``)."""
     metrics = {}
-    for name, direction in better.items():
+    for spec in end_to_end:
+        name = spec["name"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         work = [w["metrics"][name]["value"] for _, w in pairs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         mid_base, mid_work = statistics.median(base), statistics.median(work)
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (mid_base,) * 3
         metrics[name] = {
@@ -61,11 +65,13 @@ def summarise(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             "ratio": mid_work / mid_base if mid_base else None,
             "base_iqr": q3 - q1,
             "work_better": sum(sign * (w - b) > 0 for b, w in zip(base, work)),
+            "beyond_bound": sign * (mid_base - mid_work) > spec["bound"] * abs(mid_base),
         }
     return {
         "pairs": len(pairs),
         "correct": {"base": all(b["correct"] for b, _ in pairs),
                     "work": all(w["correct"] for _, w in pairs)},
+        "regressed": [name for name, m in metrics.items() if m["beyond_bound"]],
         "metrics": metrics,
     }
 
@@ -79,7 +85,6 @@ def main(argv=None) -> int:
                         help="workloads to compare, in this order (default: all)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         extract(args.base, Path(tmp))
         sides = {"base": Path(tmp), "work": ROOT}
@@ -91,7 +96,7 @@ def main(argv=None) -> int:
                         for side in order}
                 pairs.append((done["base"], done["work"]))
             print(json.dumps({"base": args.base, "workload": workload, "seeds": args.seeds,
-                              **summarise(pairs, better)}), flush=True)
+                              **summarise(pairs, spec["end_to_end"])}), flush=True)
     return 0
 
 

@@ -18,7 +18,12 @@ Group sums are correctly rounded, so the result does not depend on the
 order of the joint's rows, and a ratio such as 3/6 over masses of 1/7 is
 exactly 1/2.  ``eval_exact`` and ``eval_mc`` only ever sum 0/1 tables; a
 group whose rows carry one mass m then sums to its count times m, which
-is the correctly rounded sum of that many copies of m.  The batch axis
+is the correctly rounded sum of that many copies of m, and a quantifier
+of built-in kind reads its value at each count pair from a table.  What
+depends only on the graph and the model (the order, groups and cells) is
+prepared on a pair's first evaluation, the count tables where they pay,
+and both are kept in the model's memo; each call reads only psi from the
+lexicon.  The batch axis
 carries whatever one pass is evaluated for:
 
 * ``eval_naive`` applies quantifier shapes directly to vague conditional
@@ -39,7 +44,8 @@ carries whatever one pass is evaluated for:
   vague functions directly; it is only sound for vague quantifiers.
 
 A denominator at or below the guard is treated as an empty restriction:
-the group receives the quantifier's convention value.  ``evaluate``
+the group receives the quantifier's convention value, for generic
+``generic_empty``, which every engine refuses outside [0, 1].  ``evaluate``
 dispatches on an engine name.
 """
 
@@ -118,26 +124,21 @@ class GenericComparison:
     gap: float
 
 
-class _Core:
-    """Everything one evaluation of a graph reads, and the pass over it.
-
-    ``names`` are the applied predicates, sorted, and ``psi`` their vague
-    values, one row per name and one column per pixie that some row
-    assigns.  A cell that no positive-mass row reads holds 0, so a lift of
-    ``psi`` neither enumerates nor samples it.  ``cells`` maps each
-    application to its predicate's row of ``psi`` and the column each row
-    reads.  ``crisp`` says that the caller only passes 0/1 tables
-    (lifted leaves, thresholds applied), so one-mass groups may be
-    summed by counts, from a full chunk on by one matrix product and a
-    table of shape values (``_counter``).
+class _Plan:
+    """What a core reads that depends only on the graph's nodes and root
+    and on the model; see ``_Core``.  ``lookups`` gives, per applied
+    predicate, the columns of psi that some positive-mass row reads and
+    their pixies; ``cells`` maps each application to its predicate's row
+    of psi and the column each row reads.  ``groups`` hold each
+    quantifier's one mass only if ``crisp``: the caller only passes 0/1
+    tables (lifted leaves, thresholds applied).  ``tables`` keeps the
+    quantifiers' count paths per ``generic_empty`` once built
+    (``_Core._count_paths``).
     """
 
-    def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
-                 generic_empty=1.0, crisp=False):
-        self.graph = graph
-        self.generic_empty = generic_empty
-        self.order, free = validated_order(graph, model, lexicon)
-        quantifiers = [i for i in self.order if isinstance(graph.nodes[i], Quantifier)]
+    def __init__(self, graph: ScopeGraph, model: SituationModel, order, free, crisp):
+        self.order = order
+        quantifiers = [i for i in order if isinstance(graph.nodes[i], Quantifier)]
         self.vague = [i for i in quantifiers if not is_precise(graph.nodes[i].kind)]
         # crisp: every table a quantifier reads holds 0s and 1s, as bits,
         # precise shapes and thresholded vague nodes do, unless a custom
@@ -145,8 +146,7 @@ class _Core:
         crisp = crisp and all(i in self.vague or
                               empty_restriction_value(graph.nodes[i].kind) in (0.0, 1.0)
                               for i in quantifiers)
-        applications = [graph.nodes[i] for i in self.order
-                        if isinstance(graph.nodes[i], Application)]
+        applications = [graph.nodes[i] for i in order if isinstance(graph.nodes[i], Application)]
         self.names = sorted({a.predicate for a in applications})
         # Only the variables some application reads tell rows apart.
         applied = {a.variable for a in applications}
@@ -161,15 +161,13 @@ class _Core:
         self.width = len(self.mass)
         self.chunk = max(1, CHUNK_CELLS // self.width)  # batch rows per chunk
         column = {v: k for k, v in enumerate(variables)}
-        space = model.space.elements
         name_row = {n: k for k, n in enumerate(self.names)}
         read = np.zeros((len(self.names), len(pixies)), dtype=bool)
         self.cells: dict[int, tuple[int, np.ndarray]] = {}
         # position of the last node that reads each node's table
-        self.last_use = {self.graph.root: len(self.order)}
+        self.last_use = {graph.root: len(order)}
         self.groups: dict[int, tuple] = {}
-        self.counters: dict[int, tuple | None] = {}  # see _counter
-        for pos, i in enumerate(self.order):
+        for pos, i in enumerate(order):
             node = graph.nodes[i]
             if isinstance(node, Application):
                 k, cols = name_row[node.predicate], codes[:, column[node.variable]]
@@ -182,11 +180,49 @@ class _Core:
                 # (order, starts, sizes, group, one mass per group or None)
                 *runs, mass = model.groups(variables, sorted(free[i]))
                 self.groups[i] = (*runs, mass if crisp else None)
-        self.psi = np.zeros(read.shape)
-        for k, name in enumerate(self.names):
-            cols = np.flatnonzero(read[k])
+        space = model.space.elements
+        self.lookups = [(cols, [space[j] for j in pixies[cols].tolist()])
+                        for cols in map(np.flatnonzero, read)]
+        self.columns = len(pixies)
+        self.tables: dict[str, dict[int, tuple | None]] = {}
+
+
+class _Core:
+    """Everything one evaluation of a graph reads, and the pass over it.
+
+    The plan's fields are read as the core's own: one ``_Plan`` per equal
+    nodes, root and ``crisp``, kept in the model's memo, serves every
+    evaluation on that model.  Per call only ``psi`` is read from the
+    lexicon: the applied predicates' vague values, sorted by name, one
+    column per pixie that some row assigns; a cell that no positive-mass
+    row reads holds 0, so a lift neither enumerates nor samples it.
+    """
+
+    def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
+                 generic_empty=1.0, crisp=False):
+        if not 0.0 <= generic_empty <= 1.0:
+            raise ValueError(f"generic_empty must be in [0, 1], got {generic_empty!r}")
+        order, free = validated_order(graph, model, lexicon)
+        # keyed on structure alone: nodes are frozen, and aliases only name them
+        key = ("plan", tuple(graph.nodes), graph.root, crisp)
+        plan = model._memo.get(key)
+        reused = plan is not None
+        if not reused:
+            plan = model._memo[key] = _Plan(graph, model, order, free, crisp)
+        vars(self).update(vars(plan))
+        self.graph = graph
+        self.generic_empty = generic_empty
+        self.psi = np.zeros((len(self.names), self.columns))
+        for k, (name, (cols, pixies)) in enumerate(zip(self.names, self.lookups)):
             psi = lexicon.predicates[name].table.get
-            self.psi[k, cols] = [psi(space[j], 0.0) for j in pixies[cols].tolist()]
+            self.psi[k, cols] = [psi(p, 0.0) for p in pixies]
+        self.empty = float(generic_empty).hex()  # keeps -0.0 apart from 0.0
+        self.counters = self.tables.get(self.empty)
+        # building the count tables costs about two shape passes, so they
+        # are built where they pay: on a plan's second evaluation (with
+        # this generic_empty), or at the first batch of a full chunk
+        if self.counters is None and reused:
+            self._count_paths()
 
     def reads(self, column: np.ndarray | None):
         """Per application, the draw that each row's cell reads (``column``
@@ -237,27 +273,41 @@ class _Core:
         kind = self.graph.nodes[i].kind
         # the root is closed: its one group stays at column 0, not gathered to the rows
         run = slice(None) if i == self.graph.root else self.groups[i][3]
-        if i not in self.counters and len(r) >= self.chunk:
-            self.counters[i] = self._counter(kind, *self.groups[i][2:])
-        counter = self.counters.get(i)
+        if self.counters is None and len(r) >= self.chunk:
+            self._count_paths()
+        counter = None if self.counters is None else self.counters[i]
         if counter is None:
             return self.shape(kind, *self.group_sums(i, r, b))[:, run]
         member, base, side, table = counter
-        # one product gives k_r * side + k_rb per group, an exact integer
-        return table[((r * (b + side)) @ member + base).astype(np.intp)][:, run]
+        # k_r * side + k_rb per group: sums of small integers, so exact
+        held = r * (b + side)
+        if member is None:
+            order, starts = self.groups[i][:2]
+            counts = np.add.reduceat(held[:, order], starts, axis=1)
+        else:
+            counts = held @ member
+        return table[(counts + base).astype(np.intp)][:, run]
+
+    def _count_paths(self):
+        """Build every quantifier's count path (``_counter``) into the plan."""
+        self.counters = self.tables[self.empty] = {
+            i: self._counter(self.graph.nodes[i].kind, *runs[2:]) for i, runs in self.groups.items()}
 
     def _counter(self, kind, sizes, run, mass):
         """The count path of a one-mass quantifier of built-in kind, or None:
-        the one-hot row-by-group membership, and f_Q at k_rb * m over k_r * m
-        for each group g of mass m and counts below side = largest group + 1,
-        at g * side**2 + k_r * side + k_rb; each holds <= ``CHUNK_CELLS`` cells."""
+        the one-hot row-by-group membership (None, to count by
+        ``np.add.reduceat``, where it would pass ``CHUNK_CELLS`` cells), and
+        f_Q at k_rb * m over k_r * m for each group g of mass m and counts
+        below side = largest group + 1, at g * side**2 + k_r * side + k_rb;
+        a table over ``CHUNK_CELLS`` cells is not built."""
         side = int(sizes.max()) + 1
         # a custom shape may leave gaps in [0, 1]: it may only see the
         # ratios that are reached, not every count pair
         if (mass is None or not isinstance(kind, QuantifierKind)
-                or len(sizes) * max(self.width, side * side) > CHUNK_CELLS):
+                or len(sizes) * side * side > CHUNK_CELLS):
             return None
-        member = (run[:, None] == np.arange(len(sizes))).astype(float)
+        member = ((run[:, None] == np.arange(len(sizes))).astype(float)
+                  if len(sizes) * self.width <= CHUNK_CELLS else None)
         den, num = np.indices((side, side), dtype=float)[:, None] * mass[:, None, None]
         table = self.shape(kind, num, den).ravel()
         return member, np.arange(len(sizes)) * side * side, side, table
@@ -311,7 +361,8 @@ class _Core:
         """Per batch row, the root's expectation over every vague node's
         threshold from position ``start`` on."""
         pos = self.advance(tables, start)
-        if pos is None:
+        # at a vague root E[f >= theta] = f, as at a precise one
+        if pos is None or pos == len(self.order) - 1:
             return tables[self.graph.root][:, 0]
         i = self.order[pos]
         row, lo, hi, starts, counts = threshold_regions(tables[i])

@@ -84,9 +84,11 @@ class SituationModel:
     gives each faulty row's index path in ``joint``, else the total's ``()``.
 
     The joint's arrays are built and checked on construction, its rows
-    over a tuple of variables and their groups on first use; all are kept
-    on the instance: every field is a tuple, so nothing they are derived
-    from can change.  They do not take part in equality, hashing or ``repr``.
+    over a tuple of variables and their groups on first use, and the
+    engine's plan for a graph on its first evaluation; all are kept on
+    the instance: every field is a tuple, so nothing they are derived
+    from can change.  They do not take part in equality, hashing or
+    ``repr``.
     """
 
     space: PixieSpace
@@ -203,15 +205,10 @@ class SituationModel:
     def assigned(self, vars) -> tuple[np.ndarray, np.ndarray]:
         """The pixies that ``rows(vars)`` assign (sorted indices into
         ``space.elements``), and the rows' codes as positions among them."""
-        vars = tuple(vars)
-        found = self._memo.get(("assigned", vars))
-        if found is None:
-            codes = self.rows(vars)[0]
-            seen = np.zeros(len(self.space.elements), dtype=bool)
-            seen[codes] = True
-            found = _read_only(np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes])
-            self._memo["assigned", vars] = found
-        return found
+        codes = self.rows(tuple(vars))[0]
+        seen = np.zeros(len(self.space.elements), dtype=bool)
+        seen[codes] = True
+        return _read_only(np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes])
 
     def groups(self, vars, by) -> tuple:
         """The rows of ``rows(vars)`` grouped by the variables ``by``, in
@@ -223,8 +220,7 @@ class SituationModel:
         found = self._memo.get(("groups", vars, by))
         if found is None:
             codes, mass = self.rows(vars)
-            columns = codes[:, [vars.index(v) for v in by]]
-            order, starts, sizes, run = _runs(columns)
+            order, starts, sizes, run = _runs(codes[:, [vars.index(v) for v in by]])
             ordered = mass[order]
             head = ordered[starts]  # each run's first mass
             one = np.array_equal(ordered, np.repeat(head, sizes))

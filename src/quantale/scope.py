@@ -33,6 +33,9 @@ class Application:
 class Conjunction:
     children: tuple[int, ...]
 
+    def __post_init__(self):  # kept as a tuple: engines key plans on nodes
+        object.__setattr__(self, "children", tuple(self.children))
+
 
 @dataclass(frozen=True)
 class Quantifier:
@@ -40,6 +43,9 @@ class Quantifier:
     bound: tuple[str, ...]
     restriction: int
     body: int
+
+    def __post_init__(self):  # kept as a tuple: engines key plans on nodes
+        object.__setattr__(self, "bound", tuple(self.bound))
 
 
 ScopeNode = Tautology | Application | Conjunction | Quantifier

@@ -173,6 +173,45 @@ def test_empty_restriction_conventions_in_engines():
     )
 
 
+@pytest.mark.parametrize("empty", [2.0, -0.5, math.nan, math.inf])
+def test_generic_empty_outside_the_unit_interval_is_refused(empty):
+    # r holds nowhere, so every engine would reach the convention value:
+    # naive and generic-fast returned it as it stood, exact and mc clipped
+    # or thresholded it, and a nan came out of exact's independent lift
+    space = q.PixieSpace(("a", "b"))
+    model = q.SituationModel(space, ("x",), ((("a",), 0.5), (("b",), 0.5)))
+    lexicon = q.VagueLexicon({"r": q.VaguePredicate("r", {}),
+                              "b": q.VaguePredicate("b", {"a": 0.5, "b": 1.0})})
+    graph = q.parse_prop("(generic (x) (r x) (b x))")
+    runs = [lambda: q.eval_naive(graph, model, lexicon, empty),
+            lambda: q.eval_generic_fast(graph, model, lexicon, empty)]
+    for scheme in q.LiftScheme:
+        runs += [lambda s=scheme: q.eval_exact(graph, model, lexicon, s, generic_empty=empty),
+                 lambda s=scheme: q.eval_mc(graph, model, lexicon, s, samples=10, seed=0,
+                                            generic_empty=empty),
+                 lambda s=scheme: q.compare_generic(graph, model, lexicon, s,
+                                                    generic_empty=empty)]
+    for run in runs:
+        with pytest.raises(ValueError, match=re.escape(f"got {empty!r}")):
+            run()
+
+
+def test_nodes_built_with_lists_evaluate_as_with_tuples():
+    # engines key their memoised plans on the nodes, so a graph built in
+    # code with lists where the nodes hold tuples must still be hashable
+    model, lexicon = red_world(0.5)
+
+    def graph(seq):
+        return q.ScopeGraph(seq([q.Tautology(), q.Application("red", "x"),
+                                 q.Conjunction(seq([1, 1])),
+                                 q.Quantifier(q.QuantifierKind.MANY, seq(["x"]), 0, 2)]), 3)
+
+    assert tuple(graph(list).nodes) == graph(tuple).nodes
+    for engine in ("naive", "exact", "generic-fast"):
+        assert (evaluate(graph(list), model, lexicon, engine)
+                == evaluate(graph(tuple), model, lexicon, engine))
+
+
 def test_vague_node_cap():
     model, lexicon = red_world(0.5)
     nodes = [q.Tautology(), q.Application("red", "x")]

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -424,32 +425,47 @@ def test_custom_shapes_keep_row_sums():
 @given(seeds, st.sampled_from(list(q.QuantifierKind)), st.sampled_from([0.0, 0.5, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_empty):
-    # from its first full chunk on, a crisp quantifier of built-in kind
-    # counts by one matrix product and reads its values from a table; they
-    # must carry the bits of the shape applied to the reduceat sums
-    from quantale.engine import _Core
+    # a crisp one-mass quantifier of built-in kind counts, by one matrix
+    # product where the one-hot membership fits in CHUNK_CELLS and by
+    # reduceat otherwise, and reads its values from a table once the plan
+    # has one: from a new plan's first full chunk on, and at every batch
+    # size of the plan's later evaluations; the values must carry the bits
+    # of the shape applied to the reduceat sums
+    from quantale.engine import CHUNK_CELLS, _Core
 
     rng = random.Random(seed)
-    weights = [[rng.choice((1.0, 3.0, rng.random() + 0.05))] * rng.randint(1, 9)
-               for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:  # so many groups that the membership does not fit
+        weights = [[rng.choice((1.0, 3.0))] * rng.randint(1, 2) for _ in range(rng.randint(91, 99))]
+    else:
+        weights = [[rng.choice((1.0, 3.0, rng.random() + 0.05))] * rng.randint(1, 9)
+                   for _ in range(rng.randint(1, 4))]
     total = math.fsum(w for g in weights for w in g)
     model, lexicon, graph, i = _grouped_case(rng, [[w / total for w in g] for g in weights])
+    if rng.random() < 0.5:  # rows sorted by y first: the groups by x interleave
+        model = q.SituationModel(model.space, ("y", "x"),
+                                 tuple((a[::-1], m) for a, m in model.joint))
     node = graph.nodes[i]
     nodes = graph.nodes[:i] + (q.Quantifier(kind, node.bound, node.restriction, node.body),)
     graph = q.ScopeGraph(nodes + graph.nodes[i + 1:], graph.root)
     core = _Core(graph, model, lexicon, generic_empty, crisp=True)
     run = core.groups[i][3]
     assert core.groups[i][4] is not None
+    assert core.counters is None
     np_rng = np.random.default_rng(seed)
-    for k, batch in enumerate((core.chunk - 1, core.chunk, 1, 3 * core.chunk + 5)):
+    for k, batch in enumerate((core.chunk - 1, core.chunk, 1, 3 * core.chunk + 5, 1)):
+        if k == 4:  # the plan's next evaluation has the tables from the start
+            core = _Core(graph, model, lexicon, generic_empty, crisp=True)
+            assert core.counters is not None
         r = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
         b = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
         # some groups with an empty restriction in every batch row
         r[:, np.isin(run, np.flatnonzero(np_rng.random(len(weights)) < 0.3))] = 0.0
         want = core.shape(kind, *core.group_sums(i, r, b))[:, run]
         got = core._quantify(i, r, b)
-        assert (core.counters.get(i) is not None) == (k > 0)
+        assert (core.counters is not None) == (k > 0)
         assert got.tobytes() == want.tobytes()
+    member = core.counters[i][0]
+    assert (member is None) == (len(weights) * core.width > CHUNK_CELLS)
 
 
 def _mixed_joint(rng, space, variables):
@@ -618,20 +634,29 @@ def test_results_do_not_depend_on_how_the_model_is_listed(seed):
 @settings(max_examples=30, deadline=None)
 def test_memoised_model_evaluates_as_a_fresh_one(seed):
     # one model evaluated under graphs that read different variable sets,
-    # in several orders, gives the bits of a freshly built equal model
+    # equal graphs built apart, generic_empty 0, 1/2 and 1 and a second
+    # lexicon with other psi values, in several orders, gives the bits of a
+    # freshly built equal model: no memoised plan, table or psi goes stale
     rng = random.Random(seed)
     variables = ("x", "y", "z")[:rng.randint(1, 3)]
     base, lexicon = random_dyadic_world(rng, variables)
+    other = q.VagueLexicon({n: q.VaguePredicate(n, {p: rng.choice((0.0, 0.25, 0.5, 1.0))
+                                                    for p in base.space.elements})
+                            for n in lexicon.predicates})
     model = _mixed_joint(rng, base.space, variables)
     graphs = [q.parse_prop(f"(some ({v}) (P {v}) (Q {v}))") for v in variables]
     graphs += [random_vague_dag(rng, variables)[0] for _ in range(3)]
+    cases = [(k, lex, empty) for k in range(len(graphs))
+             for lex, empty in ((lexicon, 0.0), (lexicon, 0.5), (lexicon, 1.0), (other, 1.0))]
 
-    def results(m, graph):
+    def results(m, graph, lexicon, empty):
         out = []
-        for run in (lambda: q.eval_naive(graph, m, lexicon),
-                    lambda: q.eval_generic_fast(graph, m, lexicon),
-                    *(lambda s=s: q.eval_exact(graph, m, lexicon, s) for s in q.LiftScheme),
-                    *(lambda s=s: q.eval_mc(graph, m, lexicon, s, samples=300, seed=seed)
+        for run in (lambda: q.eval_naive(graph, m, lexicon, empty),
+                    lambda: q.eval_generic_fast(graph, m, lexicon, empty),
+                    *(lambda s=s: q.eval_exact(graph, m, lexicon, s, generic_empty=empty)
+                      for s in q.LiftScheme),
+                    *(lambda s=s: q.eval_mc(graph, m, lexicon, s, samples=300, seed=seed,
+                                            generic_empty=empty)
                       for s in q.LiftScheme)):
             try:
                 out.append(run().probability.hex())
@@ -642,9 +667,14 @@ def test_memoised_model_evaluates_as_a_fresh_one(seed):
     def fresh():
         return q.SituationModel(model.space, model.variables, model.joint)
 
-    want = [results(fresh(), g) for g in graphs]
-    for order in (range(len(graphs)), reversed(range(len(graphs))),
-                  rng.sample(range(len(graphs)), len(graphs))):
-        for k in order:
-            assert results(model, graphs[k]) == want[k]
+    want = [results(fresh(), graphs[k], lex, empty) for k, lex, empty in cases]
+    copies = [copy.deepcopy(g) for g in graphs]  # equal, but no object shared
+    assert copies == graphs and not any(a is b for g, c in zip(graphs, copies)
+                                        for a, b in zip(g.nodes, c.nodes))
+    for order, pool in ((range(len(cases)), graphs),
+                        (reversed(range(len(cases))), copies),
+                        (rng.sample(range(len(cases)), len(cases)), graphs)):
+        for c in order:
+            k, lex, empty = cases[c]
+            assert results(model, pool[k], lex, empty) == want[c]
     assert (model == fresh(), hash(model), repr(model)) == (True, hash(fresh()), repr(fresh()))

@@ -49,14 +49,28 @@ def test_bench_ab_summarises_pairs(monkeypatch, capsys):
 
     pairs = [(doc(4.0, 100.0), doc(3.0, 120.0)), (doc(5.0, 90.0), doc(5.0, 80.0)),
              (doc(6.0, 110.0), doc(3.0, 150.0, correct=False))]
-    summary = bench_ab.summarise(pairs, {"op_p50_s": "lower", "ops_per_s": "higher"})
+    end_to_end = [{"name": "op_p50_s", "better": "lower", "bound": 0.25},
+                  {"name": "ops_per_s", "better": "higher", "bound": 0.2}]
+    summary = bench_ab.summarise(pairs, end_to_end)
     assert summary["pairs"] == 3
     assert summary["correct"] == {"base": True, "work": False}
+    assert summary["regressed"] == []
     # quartiles of (4, 5, 6) by the exclusive method: 4 and 6
     assert summary["metrics"]["op_p50_s"] == {"base": 5.0, "work": 3.0, "ratio": 0.6,
-                                              "base_iqr": 2.0, "work_better": 2}
+                                              "base_iqr": 2.0, "work_better": 2,
+                                              "beyond_bound": False}
     assert summary["metrics"]["ops_per_s"] == {"base": 100.0, "work": 120.0, "ratio": 1.2,
-                                               "base_iqr": 20.0, "work_better": 2}
+                                               "base_iqr": 20.0, "work_better": 2,
+                                               "beyond_bound": False}
+    # a work median worse by more than the relative bound is flagged; worse
+    # by exactly the bound (5 -> 6.25, 100 -> 80) is not
+    for p50, ops, regressed in ((6.25, 80.0, []), (6.26, 80.0, ["op_p50_s"]),
+                                (6.0, 79.9, ["ops_per_s"]),
+                                (7.0, 50.0, ["op_p50_s", "ops_per_s"])):
+        worse = [(b, doc(p50, ops)) for b, _ in pairs]
+        summary = bench_ab.summarise(worse, end_to_end)
+        assert summary["regressed"] == regressed, (p50, ops)
+        assert [m for m, v in summary["metrics"].items() if v["beyond_bound"]] == regressed
 
     # main: one line per workload, BENCHMARK.json's four by default, sides
     # alternating which goes first
@@ -84,6 +98,9 @@ def test_bench_ab_summarises_pairs(monkeypatch, capsys):
         assert line["metrics"]["op_p50_s"]["work_better"] == 2
         assert line["metrics"]["ops_per_s"]["work_better"] == 0
         assert set(line["metrics"]) == {m["name"] for m in bench["end_to_end"]}
+        # work: every metric at 1.0 against the base's 2.0
+        assert line["regressed"] == [m["name"] for m in bench["end_to_end"]
+                                     if m["better"] == "higher"]
     calls.clear()
     assert bench_ab.main(["--base", "HEAD", "--workload", "mc", "exact-dense", "--seeds", "5"]) == 0
     assert [json.loads(line)["workload"] for line in capsys.readouterr().out.splitlines()] == [
