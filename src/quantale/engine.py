@@ -22,9 +22,9 @@ is the correctly rounded sum of that many copies of m, and a quantifier
 of built-in kind reads its value at each count pair from a table.  What
 depends only on the graph and the model (the order, groups and cells) is
 prepared on a pair's first evaluation, the count tables where they pay,
-and both are kept in the model's memo; each call reads only psi from the
-lexicon.  The batch axis
-carries whatever one pass is evaluated for:
+and both are kept in the model's memo, for its ``PLANS_PER_MODEL`` most
+recently evaluated graphs; each call reads only psi from the lexicon.
+The batch axis carries whatever one pass is evaluated for:
 
 * ``eval_naive`` applies quantifier shapes directly to vague conditional
   probabilities (the formulation that trivialises precise quantifiers
@@ -93,6 +93,8 @@ DENOM_GUARD = 1e-15
 # Upper bound on batch x R cells per node table; configurations, samples
 # and threshold branches are evaluated in chunks of this size.
 CHUNK_CELLS = 2**13
+# Plans kept per model; the least recently evaluated graph's goes first.
+PLANS_PER_MODEL = 32
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,8 @@ class _Plan:
     their pixies; ``cells`` maps each application to its predicate's row
     of psi and the column each row reads.  ``groups`` hold each
     quantifier's one mass only if ``crisp``: the caller only passes 0/1
-    tables (lifted leaves, thresholds applied).  ``tables`` keeps the
-    quantifiers' count paths per ``generic_empty`` once built
-    (``_Core._count_paths``).
+    tables (lifted leaves, thresholds applied).  ``tables`` keeps each
+    quantifier's count path once built (``_Core._count_path``).
     """
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, order, free, crisp):
@@ -184,7 +185,7 @@ class _Plan:
         self.lookups = [(cols, [space[j] for j in pixies[cols].tolist()])
                         for cols in map(np.flatnonzero, read)]
         self.columns = len(pixies)
-        self.tables: dict[str, dict[int, tuple | None]] = {}
+        self.tables: dict[int, tuple] = {}
 
 
 class _Core:
@@ -192,7 +193,8 @@ class _Core:
 
     The plan's fields are read as the core's own: one ``_Plan`` per equal
     nodes, root and ``crisp``, kept in the model's memo, serves every
-    evaluation on that model.  Per call only ``psi`` is read from the
+    evaluation on that model while it is among the ``PLANS_PER_MODEL``
+    most recently used.  Per call only ``psi`` is read from the
     lexicon: the applied predicates' vague values, sorted by name, one
     column per pixie that some row assigns; a cell that no positive-mass
     row reads holds 0, so a lift neither enumerates nor samples it.
@@ -204,11 +206,15 @@ class _Core:
             raise ValueError(f"generic_empty must be in [0, 1], got {generic_empty!r}")
         order, free = validated_order(graph, model, lexicon)
         # keyed on structure alone: nodes are frozen, and aliases only name them
-        key = ("plan", tuple(graph.nodes), graph.root, crisp)
-        plan = model._memo.get(key)
-        reused = plan is not None
-        if not reused:
-            plan = model._memo[key] = _Plan(graph, model, order, free, crisp)
+        key = (tuple(graph.nodes), graph.root, crisp)
+        plans = model._memo.setdefault("plans", {})
+        plan = plans.pop(key, None)  # put back last: the first is the least recently used
+        self.reused = plan is not None
+        if plan is None:
+            plan = _Plan(graph, model, order, free, crisp)
+            if len(plans) >= PLANS_PER_MODEL:
+                del plans[next(iter(plans))]
+        plans[key] = plan
         vars(self).update(vars(plan))
         self.graph = graph
         self.generic_empty = generic_empty
@@ -216,13 +222,6 @@ class _Core:
         for k, (name, (cols, pixies)) in enumerate(zip(self.names, self.lookups)):
             psi = lexicon.predicates[name].table.get
             self.psi[k, cols] = [psi(p, 0.0) for p in pixies]
-        self.empty = float(generic_empty).hex()  # keeps -0.0 apart from 0.0
-        self.counters = self.tables.get(self.empty)
-        # building the count tables costs about two shape passes, so they
-        # are built where they pay: on a plan's second evaluation (with
-        # this generic_empty), or at the first batch of a full chunk
-        if self.counters is None and reused:
-            self._count_paths()
 
     def reads(self, column: np.ndarray | None):
         """Per application, the draw that each row's cell reads (``column``
@@ -273,41 +272,37 @@ class _Core:
         kind = self.graph.nodes[i].kind
         # the root is closed: its one group stays at column 0, not gathered to the rows
         run = slice(None) if i == self.graph.root else self.groups[i][3]
-        if self.counters is None and len(r) >= self.chunk:
-            self._count_paths()
-        counter = None if self.counters is None else self.counters[i]
+        counter = self._count_path(i, kind, len(r))
         if counter is None:
             return self.shape(kind, *self.group_sums(i, r, b))[:, run]
         member, base, side, table = counter
-        # k_r * side + k_rb per group: sums of small integers, so exact
-        held = r * (b + side)
-        if member is None:
-            order, starts = self.groups[i][:2]
-            counts = np.add.reduceat(held[:, order], starts, axis=1)
-        else:
-            counts = held @ member
-        return table[(counts + base).astype(np.intp)][:, run]
+        # one product gives k_r * side + k_rb per group, an exact integer
+        return table[((r * (b + side)) @ member + base).astype(np.intp)][:, run]
 
-    def _count_paths(self):
-        """Build every quantifier's count path (``_counter``) into the plan."""
-        self.counters = self.tables[self.empty] = {
-            i: self._counter(self.graph.nodes[i].kind, *runs[2:]) for i, runs in self.groups.items()}
+    def _count_path(self, i, kind, batch):
+        """Quantifier ``i``'s count path (``_counter``), kept in the plan, if
+        ``i`` is generic for the ``generic_empty`` it was last built with.
+        Building one costs about two shape passes, so it is built where it
+        pays: on a plan's later evaluations, or at a batch of a full chunk."""
+        # the hex keeps -0.0 apart from 0.0
+        key = float(self.generic_empty).hex() if kind is QuantifierKind.GENERIC else None
+        found = self.tables.get(i)
+        if (found is None or found[0] != key) and (self.reused or batch >= self.chunk):
+            found = self.tables[i] = key, self._counter(kind, *self.groups[i][2:])
+        return found[1] if found is not None and found[0] == key else None
 
     def _counter(self, kind, sizes, run, mass):
         """The count path of a one-mass quantifier of built-in kind, or None:
-        the one-hot row-by-group membership (None, to count by
-        ``np.add.reduceat``, where it would pass ``CHUNK_CELLS`` cells), and
-        f_Q at k_rb * m over k_r * m for each group g of mass m and counts
-        below side = largest group + 1, at g * side**2 + k_r * side + k_rb;
-        a table over ``CHUNK_CELLS`` cells is not built."""
+        the one-hot row-by-group membership, and f_Q at k_rb * m over k_r * m
+        for each group g of mass m and counts below side = largest group + 1,
+        at g * side**2 + k_r * side + k_rb; each holds <= ``CHUNK_CELLS`` cells."""
         side = int(sizes.max()) + 1
         # a custom shape may leave gaps in [0, 1]: it may only see the
         # ratios that are reached, not every count pair
         if (mass is None or not isinstance(kind, QuantifierKind)
-                or len(sizes) * side * side > CHUNK_CELLS):
+                or len(sizes) * max(self.width, side * side) > CHUNK_CELLS):
             return None
-        member = ((run[:, None] == np.arange(len(sizes))).astype(float)
-                  if len(sizes) * self.width <= CHUNK_CELLS else None)
+        member = (run[:, None] == np.arange(len(sizes))).astype(float)
         den, num = np.indices((side, side), dtype=float)[:, None] * mass[:, None, None]
         table = self.shape(kind, num, den).ravel()
         return member, np.arange(len(sizes)) * side * side, side, table

@@ -54,6 +54,10 @@ class ShapeSpec:
     segments: tuple[tuple[float, float, float, float], ...]
     empty_restriction_value: float = 0.0
 
+    def __post_init__(self):  # kept as tuples: engines key plans on nodes
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
+        object.__setattr__(self, "segments", tuple(map(tuple, self.segments)))
+
     def value(self, ratio: float) -> float:
         return float(self.values(np.array([ratio], dtype=float))[0])
 
@@ -80,24 +84,20 @@ class ShapeSpec:
         return out
 
 
-def _step(points, segments, empty):
-    return ShapeSpec(tuple(points), tuple(segments), empty)
-
-
 # Built-in shapes.  Endpoint conventions: some is 0 at ratio exactly 0,
 # every is 1 only at ratio exactly 1, most is strict at 1/2.
 BUILTIN_SHAPES: dict[QuantifierKind, ShapeSpec] = {
-    QuantifierKind.SOME: _step([(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0, 1.0, 1.0)], 0.0),
-    QuantifierKind.EVERY: _step([(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0, 0.0, 0.0)], 1.0),
-    QuantifierKind.NO: _step([(0.0, 1.0), (1.0, 0.0)], [(0.0, 1.0, 0.0, 0.0)], 1.0),
-    QuantifierKind.MOST: _step(
+    QuantifierKind.SOME: ShapeSpec([(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0, 1.0, 1.0)], 0.0),
+    QuantifierKind.EVERY: ShapeSpec([(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0, 0.0, 0.0)], 1.0),
+    QuantifierKind.NO: ShapeSpec([(0.0, 1.0), (1.0, 0.0)], [(0.0, 1.0, 0.0, 0.0)], 1.0),
+    QuantifierKind.MOST: ShapeSpec(
         [(0.0, 0.0), (0.5, 0.0), (1.0, 1.0)],
         [(0.0, 0.5, 0.0, 0.0), (0.5, 1.0, 1.0, 1.0)],
         0.0,
     ),
-    QuantifierKind.MANY: _step([(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0, 0.0, 1.0)], 0.0),
-    QuantifierKind.FEW: _step([(0.0, 1.0), (1.0, 0.0)], [(0.0, 1.0, 1.0, 0.0)], 1.0),
-    QuantifierKind.GENERIC: _step(
+    QuantifierKind.MANY: ShapeSpec([(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0, 0.0, 1.0)], 0.0),
+    QuantifierKind.FEW: ShapeSpec([(0.0, 1.0), (1.0, 0.0)], [(0.0, 1.0, 1.0, 0.0)], 1.0),
+    QuantifierKind.GENERIC: ShapeSpec(
         [(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0, 0.0, 1.0)], 1.0
     ),
 }

@@ -201,15 +201,57 @@ def test_nodes_built_with_lists_evaluate_as_with_tuples():
     # code with lists where the nodes hold tuples must still be hashable
     model, lexicon = red_world(0.5)
 
-    def graph(seq):
+    def graph(seq, kind=q.QuantifierKind.MANY):
         return q.ScopeGraph(seq([q.Tautology(), q.Application("red", "x"),
                                  q.Conjunction(seq([1, 1])),
-                                 q.Quantifier(q.QuantifierKind.MANY, seq(["x"]), 0, 2)]), 3)
+                                 q.Quantifier(kind, seq(["x"]), 0, 2)]), 3)
 
-    assert tuple(graph(list).nodes) == graph(tuple).nodes
-    for engine in ("naive", "exact", "generic-fast"):
-        assert (evaluate(graph(list), model, lexicon, engine)
-                == evaluate(graph(tuple), model, lexicon, engine))
+    def half(seq):  # a custom shape: 0 at 0, ratio/2 inside, 1/2 at 1
+        return q.ShapeSpec(seq([seq([0.0, 0.0]), seq([1.0, 0.5])]),
+                           seq([seq([0.0, 1.0, 0.0, 0.5])]))
+
+    assert half(list) == half(tuple)
+    for kind in (lambda seq: q.QuantifierKind.MANY, half):
+        assert tuple(graph(list, kind(list)).nodes) == graph(tuple, kind(tuple)).nodes
+        for engine in ("naive", "exact", "generic-fast"):
+            assert (evaluate(graph(list, kind(list)), model, lexicon, engine)
+                    == evaluate(graph(tuple, kind(tuple)), model, lexicon, engine))
+
+
+def test_plans_are_kept_per_graph_and_bounded_per_model():
+    # one plan per graph, the least recently used going past the cap; a
+    # quantifier keeps one count table, and only a generic one's depends
+    # on generic_empty, so a sweep adds no plan and no table
+    from quantale.engine import PLANS_PER_MODEL
+
+    model, lexicon = red_world(0.5)
+    every, generic = q.QuantifierKind.EVERY, q.QuantifierKind.GENERIC
+
+    def graph(kind, k=1):  # (kind (x) (red x) (and (red x) ... k times))
+        return q.ScopeGraph((q.Application("red", "x"), q.Conjunction((0,) * k),
+                             q.Quantifier(kind, ("x",), 0, 1)), 2)
+
+    def run(g, empty=1.0):
+        return q.eval_exact(g, model, lexicon, q.LiftScheme.COUPLED_THRESHOLD,
+                            generic_empty=empty).probability
+
+    for kind in (every, generic):
+        for empty in np.linspace(0.0, 1.0, 11):
+            # red fails half the time, leaving the restriction empty
+            assert run(graph(kind), empty) == pytest.approx(1.0 if kind is every else (1 + empty) / 2)
+        plan = model._memo["plans"][graph(kind).nodes, 2, True]
+        assert plan.tables.keys() == {2}
+        assert plan.tables[2][0] == (float(empty).hex() if kind is generic else None)
+    plans = model._memo["plans"]
+    assert len(plans) == 2
+    for k in range(2, PLANS_PER_MODEL + 4):
+        run(graph(every, k))
+        run(graph(generic))  # used last every time, so never the one to go
+    assert len(plans) == PLANS_PER_MODEL
+    assert plans[graph(generic).nodes, 2, True] is plan
+    assert (graph(every).nodes, 2, True) not in plans
+    # the first four graphs of every went, in the order they were last used
+    assert [g[0][1].children for g in plans][:2] == [(0,) * 5, (0,) * 6]
 
 
 def test_vague_node_cap():

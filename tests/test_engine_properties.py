@@ -425,16 +425,16 @@ def test_custom_shapes_keep_row_sums():
 @given(seeds, st.sampled_from(list(q.QuantifierKind)), st.sampled_from([0.0, 0.5, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_empty):
-    # a crisp one-mass quantifier of built-in kind counts, by one matrix
-    # product where the one-hot membership fits in CHUNK_CELLS and by
-    # reduceat otherwise, and reads its values from a table once the plan
-    # has one: from a new plan's first full chunk on, and at every batch
-    # size of the plan's later evaluations; the values must carry the bits
-    # of the shape applied to the reduceat sums
+    # a crisp one-mass quantifier of built-in kind whose one-hot membership
+    # and table fit in CHUNK_CELLS counts by one matrix product and reads
+    # its values from a table once the plan has one: from a new plan's
+    # first full chunk on, and at every batch size of the plan's later
+    # evaluations; the values must carry the bits of the shape applied to
+    # the reduceat sums
     from quantale.engine import CHUNK_CELLS, _Core
 
     rng = random.Random(seed)
-    if rng.random() < 0.3:  # so many groups that the membership does not fit
+    if rng.random() < 0.3:  # so many groups that the membership does not fit: no table
         weights = [[rng.choice((1.0, 3.0))] * rng.randint(1, 2) for _ in range(rng.randint(91, 99))]
     else:
         weights = [[rng.choice((1.0, 3.0, rng.random() + 0.05))] * rng.randint(1, 9)
@@ -449,23 +449,27 @@ def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_e
     graph = q.ScopeGraph(nodes + graph.nodes[i + 1:], graph.root)
     core = _Core(graph, model, lexicon, generic_empty, crisp=True)
     run = core.groups[i][3]
+    sizes = core.groups[i][2]
     assert core.groups[i][4] is not None
-    assert core.counters is None
+    assert core.tables == {}
     np_rng = np.random.default_rng(seed)
     for k, batch in enumerate((core.chunk - 1, core.chunk, 1, 3 * core.chunk + 5, 1)):
-        if k == 4:  # the plan's next evaluation has the tables from the start
+        if k == 4:  # the plan's next evaluation has the table from the start
             core = _Core(graph, model, lexicon, generic_empty, crisp=True)
-            assert core.counters is not None
+            assert i in core.tables
         r = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
         b = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
         # some groups with an empty restriction in every batch row
         r[:, np.isin(run, np.flatnonzero(np_rng.random(len(weights)) < 0.3))] = 0.0
         want = core.shape(kind, *core.group_sums(i, r, b))[:, run]
         got = core._quantify(i, r, b)
-        assert (core.counters is not None) == (k > 0)
+        assert (i in core.tables) == (k > 0)
         assert got.tobytes() == want.tobytes()
-    member = core.counters[i][0]
-    assert (member is None) == (len(weights) * core.width > CHUNK_CELLS)
+    # one table per quantifier; a generic one's is for its generic_empty
+    key, counter = core.tables[i]
+    assert key == (float(generic_empty).hex() if kind is q.QuantifierKind.GENERIC else None)
+    fits = len(sizes) * max(core.width, (sizes.max() + 1) ** 2) <= CHUNK_CELLS
+    assert (counter is not None) == fits
 
 
 def _mixed_joint(rng, space, variables):
