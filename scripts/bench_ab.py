@@ -8,9 +8,10 @@ one pair per seed and both with that seed, each for BENCHMARK.json's
 per workload: per end-to-end metric, the median of each side, the ratio
 of the medians (working tree over base), the distance between the
 quartiles of the base runs and in how many pairs the working tree did
-better, and whether the working tree's median is worse than the base's
-by more than the metric's relative ``bound``, plus whether every run was
-correct.  Nothing under ``bench/`` is changed.
+better, whether the working tree's median is worse than the base's by
+more than the metric's relative ``bound``, and whether it is a gain:
+better in at least 9 of 10 pairs and by more than that distance, plus
+whether every run was correct.  Nothing under ``bench/`` is changed.
 
 Usage: python scripts/bench_ab.py --base HEAD~1 [--workload mc exact-dense] --seeds 1 2 3
 """
@@ -49,8 +50,11 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric of BENCHMARK.json (``name``, ``better``: "lower"
     or "higher", relative ``bound``), from (base, work) result documents:
     medians, their ratio, the base runs' interquartile range, the pairs in
-    which work is better, and whether the work median is worse than the
-    base median by more than the bound (also listed under ``regressed``)."""
+    which work is better (ties count for neither side), whether the work
+    median is worse than the base median by more than the bound (also
+    listed under ``regressed``), and whether it is a gain: work better in
+    at least 9/10 of the pairs and its median better than the base median
+    by more than the base IQR (also listed under ``gained``)."""
     metrics = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -59,19 +63,22 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
         sign = 1 if spec["better"] == "higher" else -1
         mid_base, mid_work = statistics.median(base), statistics.median(work)
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (mid_base,) * 3
+        better = sum(sign * (w - b) > 0 for b, w in zip(base, work))
         metrics[name] = {
             "base": mid_base,
             "work": mid_work,
             "ratio": mid_work / mid_base if mid_base else None,
             "base_iqr": q3 - q1,
-            "work_better": sum(sign * (w - b) > 0 for b, w in zip(base, work)),
+            "work_better": better,
             "beyond_bound": sign * (mid_base - mid_work) > spec["bound"] * abs(mid_base),
+            "gain": 10 * better >= 9 * len(pairs) and sign * (mid_work - mid_base) > q3 - q1,
         }
     return {
         "pairs": len(pairs),
         "correct": {"base": all(b["correct"] for b, _ in pairs),
                     "work": all(w["correct"] for _, w in pairs)},
         "regressed": [name for name, m in metrics.items() if m["beyond_bound"]],
+        "gained": [name for name, m in metrics.items() if m["gain"]],
         "metrics": metrics,
     }
 

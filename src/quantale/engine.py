@@ -133,8 +133,10 @@ class _Plan:
     their pixies; ``cells`` maps each application to its predicate's row
     of psi and the column each row reads.  ``groups`` hold each
     quantifier's one mass only if ``crisp``: the caller only passes 0/1
-    tables (lifted leaves, thresholds applied).  ``tables`` keeps each
-    quantifier's count path once built (``_Core._count_path``).
+    tables (lifted leaves, thresholds applied).  ``counting`` gives each
+    one-mass quantifier side, its largest group + 1, and its one-hot
+    row-by-group membership, None where that passes ``CHUNK_CELLS``.
+    ``tables`` keeps each one's count table once built (``_Core._count_path``).
     """
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, order, free, crisp):
@@ -168,6 +170,7 @@ class _Plan:
         # position of the last node that reads each node's table
         self.last_use = {graph.root: len(order)}
         self.groups: dict[int, tuple] = {}
+        self.counting: dict[int, tuple] = {}
         for pos, i in enumerate(order):
             node = graph.nodes[i]
             if isinstance(node, Application):
@@ -181,6 +184,11 @@ class _Plan:
                 # (order, starts, sizes, group, one mass per group or None)
                 *runs, mass = model.groups(variables, sorted(free[i]))
                 self.groups[i] = (*runs, mass if crisp else None)
+                if crisp and mass is not None:
+                    sizes, run = runs[2:]
+                    fits = len(sizes) * self.width <= CHUNK_CELLS
+                    member = (run[:, None] == np.arange(len(sizes))).astype(float) if fits else None
+                    self.counting[i] = (int(sizes.max()) + 1, member)
         space = model.space.elements
         self.lookups = [(cols, [space[j] for j in pixies[cols].tolist()])
                         for cols in map(np.flatnonzero, read)]
@@ -197,7 +205,9 @@ class _Core:
     most recently used.  Per call only ``psi`` is read from the
     lexicon: the applied predicates' vague values, sorted by name, one
     column per pixie that some row assigns; a cell that no positive-mass
-    row reads holds 0, so a lift neither enumerates nor samples it.
+    row reads holds 0, so a lift neither enumerates nor samples it.  A
+    one-mass quantifier counts k_r * side + k_rb per group and applies its
+    shape only where it has no count table: a prepared pair applies none.
     """
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
@@ -270,57 +280,56 @@ class _Core:
 
     def _quantify(self, i, r, b):
         kind = self.graph.nodes[i].kind
+        order, starts, _, run, mass = self.groups[i]
         # the root is closed: its one group stays at column 0, not gathered to the rows
-        run = slice(None) if i == self.graph.root else self.groups[i][3]
-        counter = self._count_path(i, kind, len(r))
-        if counter is None:
+        run = slice(None) if i == self.graph.root else run
+        if mass is None:
             return self.shape(kind, *self.group_sums(i, r, b))[:, run]
-        member, base, side, table = counter
-        # one product gives k_r * side + k_rb per group, an exact integer
-        return table[((r * (b + side)) @ member + base).astype(np.intp)][:, run]
+        side, member = self.counting[i]
+        held = r * (b + side)  # summed per group: k_r * side + k_rb, small integers, so exact
+        counts = held @ member if member is not None else np.add.reduceat(held[:, order], starts, 1)
+        table = self._count_path(i, kind, len(r))
+        if table is None:  # fl(k * m) is the correctly rounded sum of k copies of m
+            k_r, k_rb = np.divmod(counts, side)
+            return self.shape(kind, k_rb * mass, k_r * mass)[:, run]
+        base, values = table
+        return values[(counts + base).astype(np.intp)][:, run].astype(float, copy=False)
 
     def _count_path(self, i, kind, batch):
-        """Quantifier ``i``'s count path (``_counter``), kept in the plan, if
-        ``i`` is generic for the ``generic_empty`` it was last built with.
+        """Quantifier ``i``'s count table (``_counter``), kept in the plan, if
+        built for the ``generic_empty`` of a generic ``i``; else None.
         Building one costs about two shape passes, so it is built where it
         pays: on a plan's later evaluations, or at a batch of a full chunk."""
         # the hex keeps -0.0 apart from 0.0
         key = float(self.generic_empty).hex() if kind is QuantifierKind.GENERIC else None
         found = self.tables.get(i)
         if (found is None or found[0] != key) and (self.reused or batch >= self.chunk):
-            found = self.tables[i] = key, self._counter(kind, *self.groups[i][2:])
+            found = self.tables[i] = key, self._counter(i, kind)
         return found[1] if found is not None and found[0] == key else None
 
-    def _counter(self, kind, sizes, run, mass):
-        """The count path of a one-mass quantifier of built-in kind, or None:
-        the one-hot row-by-group membership, and f_Q at k_rb * m over k_r * m
-        for each group g of mass m and counts below side = largest group + 1,
-        at g * side**2 + k_r * side + k_rb; each holds <= ``CHUNK_CELLS`` cells."""
-        side = int(sizes.max()) + 1
+    def _counter(self, i, kind):
+        """One-mass quantifier ``i``'s count table, or None for a custom shape
+        or a table over the bytes of ``CHUNK_CELLS`` floats: f_Q at k_rb * m
+        over k_r * m at g * side**2 + k_r * side + k_rb for each group g of
+        mass m, a truth table for a precise kind, built in blocks of
+        ``CHUNK_CELLS`` cells; and each group's offset g * side**2."""
+        side, mass = self.counting[i][0], self.groups[i][4]
+        cells, precise = len(mass) * side * side, is_precise(kind)
         # a custom shape may leave gaps in [0, 1]: it may only see the
         # ratios that are reached, not every count pair
-        if (mass is None or not isinstance(kind, QuantifierKind)
-                or len(sizes) * max(self.width, side * side) > CHUNK_CELLS):
+        if not isinstance(kind, QuantifierKind) or cells * (1 if precise else 8) > 8 * CHUNK_CELLS:
             return None
-        member = (run[:, None] == np.arange(len(sizes))).astype(float)
-        den, num = np.indices((side, side), dtype=float)[:, None] * mass[:, None, None]
-        table = self.shape(kind, num, den).ravel()
-        return member, np.arange(len(sizes)) * side * side, side, table
+        values = np.empty(cells, bool if precise else float)
+        for a in range(0, cells, CHUNK_CELLS):
+            g, k = np.divmod(np.arange(a, min(a + CHUNK_CELLS, cells)), side * side)
+            values[a:a + len(g)] = self.shape(kind, k % side * mass[g], k // side * mass[g])
+        return np.arange(len(mass)) * side * side, values
 
     def group_sums(self, i, r, b):
         """Per batch row and group of quantifier ``i``, the correctly rounded
-        sums of ``mass * r * b`` and ``mass * r``.
-
-        On a crisp core whose groups each carry one mass m, these are the
-        counts of rows holding r and b, and r, times m: fl(k * m) is the
-        correctly rounded sum of k copies of m.  Other groups sum their
-        row terms.
-        """
-        order, starts, sizes, _, mass = self.groups[i]
-        if mass is not None:
-            r = r[:, order]
-            return (np.add.reduceat(r * b[:, order], starts, axis=1) * mass,
-                    np.add.reduceat(r, starts, axis=1) * mass)
+        sums of ``mass * r * b`` and ``mass * r`` by ``math.fsum``, where
+        ``_quantify`` cannot count: several masses, or a core not crisp."""
+        order, starts, sizes, _, _ = self.groups[i]
         batch = len(r)
         run_starts = (np.arange(batch)[:, None] * self.width + starts).ravel()
         run_sizes = np.tile(sizes, batch)

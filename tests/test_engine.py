@@ -254,6 +254,54 @@ def test_plans_are_kept_per_graph_and_bounded_per_model():
     assert [g[0][1].children for g in plans][:2] == [(0,) * 5, (0,) * 6]
 
 
+def _farmer_donkey_world(seed, farmers=8, donkeys=24):
+    """One row of mass 1 / (farmers * donkeys) per farmer-donkey pair, over
+    (w, x, y, z) = (fed?, farmer, owns?, donkey), as donkey.prop reads it."""
+    rng = random.Random(seed)
+    fs = tuple(f"f{k}" for k in range(farmers))
+    ds = tuple(f"d{k}" for k in range(donkeys))
+    rows = []
+    for f in fs:
+        for d in ds:
+            own = rng.random() < 0.25
+            feed = own and rng.random() < 0.7
+            rows.append((("yes_feed" if feed else "no_feed", f,
+                          "yes_own" if own else "no_own", d), 1.0 / (farmers * donkeys)))
+    pixies = ds + fs + ("no_feed", "no_own", "yes_feed", "yes_own")
+    model = q.SituationModel(q.PixieSpace(pixies), ("w", "x", "y", "z"), tuple(rows))
+    tables = {"donkey": ds, "entity": pixies, "farmer": fs, "feed": ("yes_feed",),
+              "own": ("yes_own",)}
+    return model, q.VagueLexicon({n: q.VaguePredicate(n, dict.fromkeys(t, 1.0))
+                                  for n, t in tables.items()})
+
+
+def test_prepared_donkey_pair_applies_no_shape(monkeypatch, donkey_graph):
+    # on 8 x 24 farmer-donkey worlds the (x, z) nodes count 192 one-row
+    # groups by reduceat and the root every's 193 x 193 count pairs fit
+    # only as a truth table; from a pair's third evaluation on, every
+    # quantifier reads its table and no shape is applied
+    from quantale.engine import _Core
+
+    for seed in range(3):
+        model, lexicon = _farmer_donkey_world(seed)
+        fresh = q.eval_exact(donkey_graph, *_farmer_donkey_world(seed)).probability
+        for _ in range(2):
+            q.eval_exact(donkey_graph, model, lexicon)
+        plan = model._memo["plans"][tuple(donkey_graph.nodes), donkey_graph.root, True]
+        assert plan.tables.keys() == plan.groups.keys() == plan.counting.keys()
+        assert len(plan.tables) == 5
+        assert all(table is not None for _, table in plan.tables.values())
+        assert plan.tables[donkey_graph.root][1][1].dtype == bool
+        # the root and the two x-grouped nodes count by product, the (x, z) nodes by reduceat
+        assert sorted(member is None for _, member in plan.counting.values()) == [0, 0, 0, 1, 1]
+        shapes = []
+        monkeypatch.setattr(_Core, "shape", lambda *args: shapes.append(args))
+        got = q.eval_exact(donkey_graph, model, lexicon).probability
+        monkeypatch.undo()
+        assert shapes == []
+        assert got.hex() == fresh.hex()
+
+
 def test_vague_node_cap():
     model, lexicon = red_world(0.5)
     nodes = [q.Tautology(), q.Application("red", "x")]

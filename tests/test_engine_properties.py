@@ -379,9 +379,10 @@ def _mixed_groups(rng):
 @given(seeds, st.sampled_from([1, 3, 1200]))
 @settings(max_examples=12, deadline=None)
 def test_crisp_count_sums_equal_row_sums_bit_for_bit(masses, seed, batch):
-    # on 0/1 tables a crisp core sums a group of one mass m as (count) * m;
-    # its sums, and the quantifier values from them, must carry the bits of
-    # the correctly rounded row sums that a core without the crisp path takes
+    # on 0/1 tables a crisp core counts a group of one mass m and shapes
+    # (count) * m or reads its table; the quantifier values must carry the
+    # bits of the correctly rounded row sums that a core without the crisp
+    # path takes
     from quantale.engine import _Core
 
     rng = random.Random(seed)
@@ -400,9 +401,6 @@ def test_crisp_count_sums_equal_row_sums_bit_for_bit(masses, seed, batch):
     # some groups with an empty restriction in every batch row
     empty = np.isin(crisp.groups[i][3], np_rng.choice(len(groups), len(groups) // 2))
     r[:, empty] = 0.0
-    for got, want in zip(crisp.group_sums(i, r, b), plain.group_sums(i, r, b)):
-        assert got.shape == (batch, len(groups))
-        assert got.tobytes() == want.tobytes()
     assert crisp._quantify(i, r, b).tobytes() == plain._quantify(i, r, b).tobytes()
 
 
@@ -425,17 +423,22 @@ def test_custom_shapes_keep_row_sums():
 @given(seeds, st.sampled_from(list(q.QuantifierKind)), st.sampled_from([0.0, 0.5, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_empty):
-    # a crisp one-mass quantifier of built-in kind whose one-hot membership
-    # and table fit in CHUNK_CELLS counts by one matrix product and reads
-    # its values from a table once the plan has one: from a new plan's
-    # first full chunk on, and at every batch size of the plan's later
-    # evaluations; the values must carry the bits of the shape applied to
-    # the reduceat sums
+    # a crisp one-mass quantifier counts k_r * side + k_rb per group, by one
+    # matrix product where its one-hot membership fits CHUNK_CELLS and by
+    # reduceat where not.  It reads its values from a table once the plan
+    # has one (from a new plan's first full chunk on, and at every batch
+    # size of the plan's later evaluations) if the table fits the bytes of
+    # CHUNK_CELLS floats, one byte a cell for a precise kind's truth table;
+    # otherwise it shapes its counts.  Either way the values must carry the
+    # bits of the shape applied to the row sums.
     from quantale.engine import CHUNK_CELLS, _Core
 
     rng = random.Random(seed)
-    if rng.random() < 0.3:  # so many groups that the membership does not fit: no table
+    case = rng.random()
+    if case < 0.25:  # so many groups that the membership does not fit: reduceat
         weights = [[rng.choice((1.0, 3.0))] * rng.randint(1, 2) for _ in range(rng.randint(91, 99))]
+    elif case < 0.45:  # one group whose table fits only as a truth table
+        weights = [[rng.choice((1.0, 3.0))] * rng.randint(100, 250)]
     else:
         weights = [[rng.choice((1.0, 3.0, rng.random() + 0.05))] * rng.randint(1, 9)
                    for _ in range(rng.randint(1, 4))]
@@ -448,28 +451,42 @@ def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_e
     nodes = graph.nodes[:i] + (q.Quantifier(kind, node.bound, node.restriction, node.body),)
     graph = q.ScopeGraph(nodes + graph.nodes[i + 1:], graph.root)
     core = _Core(graph, model, lexicon, generic_empty, crisp=True)
-    run = core.groups[i][3]
-    sizes = core.groups[i][2]
+    run, sizes = core.groups[i][3], core.groups[i][2]
     assert core.groups[i][4] is not None
-    assert core.tables == {}
+    side, member = core.counting[i]
+    assert side == sizes.max() + 1
+    assert (member is None) == (len(sizes) * core.width > CHUNK_CELLS) == (case < 0.25)
+    precise = kind in q.quant.PRECISE_KINDS
+    cells = len(sizes) * side * side
+    fits = cells * (1 if precise else 8) <= 8 * CHUNK_CELLS
+    if case < 0.45:  # the small groups' table fits, the big group's only as a truth table
+        assert fits == (case < 0.25 or precise)
     np_rng = np.random.default_rng(seed)
     for k, batch in enumerate((core.chunk - 1, core.chunk, 1, 3 * core.chunk + 5, 1)):
         if k == 4:  # the plan's next evaluation has the table from the start
             core = _Core(graph, model, lexicon, generic_empty, crisp=True)
-            assert i in core.tables
         r = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
         b = (np_rng.random((batch, core.width)) < np_rng.random()).astype(float)
         # some groups with an empty restriction in every batch row
         r[:, np.isin(run, np.flatnonzero(np_rng.random(len(weights)) < 0.3))] = 0.0
         want = core.shape(kind, *core.group_sums(i, r, b))[:, run]
+        shaped = []  # the cells of each shape call
+        core.shape = lambda *args, c=core: shaped.append(args[1].size) or _Core.shape(c, *args)
         got = core._quantify(i, r, b)
-        assert (i in core.tables) == (k > 0)
+        assert got.dtype == float
         assert got.tobytes() == want.tobytes()
+        table = core.tables.get(i, (None, None))[1]
+        assert (table is not None) == (fits and k > 0)
+        if table is None:  # the shape of the counts
+            assert shaped == [batch * len(sizes)]
+        elif k == 1:  # built in blocks of at most CHUNK_CELLS cells
+            assert table[1].dtype == (bool if precise else float)
+            assert max(shaped) <= CHUNK_CELLS and sum(shaped) == cells
+        else:
+            assert shaped == []
     # one table per quantifier; a generic one's is for its generic_empty
-    key, counter = core.tables[i]
+    key, _ = core.tables[i]
     assert key == (float(generic_empty).hex() if kind is q.QuantifierKind.GENERIC else None)
-    fits = len(sizes) * max(core.width, (sizes.max() + 1) ** 2) <= CHUNK_CELLS
-    assert (counter is not None) == fits
 
 
 def _mixed_joint(rng, space, variables):

@@ -54,14 +54,30 @@ def test_bench_ab_summarises_pairs(monkeypatch, capsys):
     summary = bench_ab.summarise(pairs, end_to_end)
     assert summary["pairs"] == 3
     assert summary["correct"] == {"base": True, "work": False}
-    assert summary["regressed"] == []
+    assert summary["regressed"] == summary["gained"] == []
     # quartiles of (4, 5, 6) by the exclusive method: 4 and 6
     assert summary["metrics"]["op_p50_s"] == {"base": 5.0, "work": 3.0, "ratio": 0.6,
                                               "base_iqr": 2.0, "work_better": 2,
-                                              "beyond_bound": False}
+                                              "beyond_bound": False, "gain": False}
     assert summary["metrics"]["ops_per_s"] == {"base": 100.0, "work": 120.0, "ratio": 1.2,
                                                "base_iqr": 20.0, "work_better": 2,
-                                               "beyond_bound": False}
+                                               "beyond_bound": False, "gain": False}
+    # a gain: work better in at least 9/10 of the pairs, ties counting for
+    # neither side, and its median better by more than the base IQR (2 and
+    # 20 over these three pairs' base sides)
+    for works, gained in (([(2.9, 121.0)] * 3, ["op_p50_s", "ops_per_s"]),
+                          ([(3.0, 120.0)] * 3, []),  # better by exactly the IQR
+                          ([(2.9, 121.0)] * 2 + [(6.0, 110.0)], []),  # a tie in each
+                          ([(2.9, 121.0)] * 2 + [(6.0, 200.0)], ["ops_per_s"])):
+        summary = bench_ab.summarise([(b, doc(*w)) for (b, _), w in zip(pairs, works)],
+                                     end_to_end)
+        assert summary["gained"] == gained, works
+        assert [m for m, v in summary["metrics"].items() if v["gain"]] == gained
+    # 9 of 10 pairs better is a gain, 8 of 10 is not
+    base = [doc(5.0 + k / 10, 100.0) for k in range(10)]
+    for wins, gained in ((9, ["op_p50_s"]), (8, [])):
+        works = [doc(1.0 if k < wins else 9.0, 100.0) for k in range(10)]
+        assert bench_ab.summarise(list(zip(base, works)), end_to_end)["gained"] == gained
     # a work median worse by more than the relative bound is flagged; worse
     # by exactly the bound (5 -> 6.25, 100 -> 80) is not
     for p50, ops, regressed in ((6.25, 80.0, []), (6.26, 80.0, ["op_p50_s"]),
@@ -70,6 +86,7 @@ def test_bench_ab_summarises_pairs(monkeypatch, capsys):
         worse = [(b, doc(p50, ops)) for b, _ in pairs]
         summary = bench_ab.summarise(worse, end_to_end)
         assert summary["regressed"] == regressed, (p50, ops)
+        assert summary["gained"] == []
         assert [m for m, v in summary["metrics"].items() if v["beyond_bound"]] == regressed
 
     # main: one line per workload, BENCHMARK.json's four by default, sides
