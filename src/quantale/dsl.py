@@ -19,10 +19,10 @@ from json.decoder import scanstring
 from pathlib import Path
 
 from .engine import EXACT
-from .errors import DslParseError, InvalidWorld
+from .errors import DslParseError, InvalidScenario, InvalidWorld
 from .model import LiftScheme, PixieSpace, SituationModel, VaguePredicate, VagueLexicon
 from .quant import QuantifierKind
-from .rsa import ENGINES, RsaScenario, RsaState, RsaUtterance, World
+from .rsa import RsaScenario, RsaState, RsaUtterance, World
 from .scope import (
     Application,
     Conjunction,
@@ -595,18 +595,17 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> RsaScenario:
     return _read(text, _scenario, Path(base_dir))
 
 
-def _entries(issues, doc: dict, key: str, what: str, required, optional, strings):
-    """Each object listed under ``key`` that has the keys it must, no others,
-    and strings at ``strings``, with its path."""
+def _entries(issues, doc: dict, key: str, what: str, required, types):
+    """Each object listed under ``key`` that has the keys it must, no keys
+    but those of ``types``, and a value of its type at each, with its path."""
     if not _expect(issues, doc[key], list, f"'{key}'", (key,)):
         return
-    if not doc[key]:
-        issues(f"scenario needs at least one {what}", (key,))
     for k, entry in enumerate(doc[key]):
         at = (key, k)
         if (_expect(issues, entry, dict, what, at)
-                and _check_keys(issues, entry, at, required, optional)
-                and all([_expect(issues, entry[s], str, f"'{s}'", at + (s,)) for s in strings])):
+                and _check_keys(issues, entry, at, required, types)
+                and all([_expect(issues, v, types[s], f"'{s}'", at + (s,))
+                         for s, v in entry.items()])):
             yield at, entry
 
 
@@ -614,75 +613,73 @@ def _scenario(doc, issues, base_dir: Path):
     if not (_expect(issues, doc, dict, "scenario document", ())
             and _check_keys(issues, doc, (), ("states", "utterances"), ("alpha", "engine"))):
         return None
-    alpha = doc.get("alpha", "inf")
-    if alpha == "inf":
-        alpha = math.inf
-    elif not isinstance(alpha, float) or alpha <= 0:
-        issues("alpha must be a positive number or \"inf\"", ("alpha",))
-    engine = doc.get("engine", EXACT)  # only used if no issue was recorded
-    if _expect(issues, engine, str, "'engine'", ("engine",)) and engine not in ENGINES:
-        issues(f"unknown engine {engine!r}", ("engine",))
+    alpha, engine = doc.get("alpha", math.inf), doc.get("engine", EXACT)
+    if not (alpha == "inf" or isinstance(alpha, float)):
+        issues("alpha must be a number or \"inf\"", ("alpha",))
+    _expect(issues, engine, str, "'engine'", ("engine",))
 
-    states: list[RsaState] = []
+    states: dict[int, RsaState] = {}  # each well-formed entry by its index in the file
     for at, state in _entries(issues, doc, "states", "state", ("id", "prior", "world"),
-                              ("scheme",), ("id", "world")):
+                              {"id": str, "prior": float, "world": str, "scheme": str}):
         scheme, prior, world = state.get("scheme", "independent"), state["prior"], state["world"]
-        if not _expect(issues, scheme, str, "'scheme'", at + ("scheme",)):
+        if not ((scheme in {s.value for s in LiftScheme}
+                 or issues(f"unknown scheme {scheme!r}", at + ("scheme",)))
+                and ((base_dir / world).is_file()
+                     or issues(f"world file not found: {world}", at + ("world",)))):
             continue
-        if scheme not in {s.value for s in LiftScheme}:
-            issues(f"unknown scheme {scheme!r}", at + ("scheme",))
-        elif not isinstance(prior, float) or prior < 0:
-            issues("prior must be a non-negative number", at + ("prior",))
-        elif not (base_dir / world).is_file():
-            issues(f"world file not found: {world}", at + ("world",))
-        else:
-            try:
-                model, lexicon = parse_world((base_dir / world).read_text())
-            except DslParseError as exc:
-                for d in exc.diagnostics:
-                    issues(f"in {world}: {d.message}", at + ("world",))
-                continue
-            states.append(RsaState(state["id"], prior, World(model, lexicon, LiftScheme(scheme))))
-
-    utterances: list[RsaUtterance] = []
-    for at, utterance in _entries(issues, doc, "utterances", "utterance", ("id", "prop"),
-                                  ("cost",), ("id", "prop")):
-        cost, prop = utterance.get("cost", 0.0), utterance["prop"]
-        source, origin = prop, "inline proposition"
-        inline = prop.strip().startswith(("(", "#")) or prop.strip() == "true"
-        if not isinstance(cost, float) or cost < 0:
-            issues("cost must be a non-negative number", at + ("cost",))
-            continue
-        if not math.isfinite(cost):
-            issues("cost must be finite", at + ("cost",))
-            continue
-        if not inline:
-            if not (base_dir / prop).is_file():
-                issues(f"proposition file not found: {prop}", at + ("prop",))
-                continue
-            source, origin = (base_dir / prop).read_text(), str(base_dir / prop)
         try:
-            utterances.append(RsaUtterance(utterance["id"], parse_prop(source), cost))
+            model, lexicon = parse_world((base_dir / world).read_text())
+        except DslParseError as exc:
+            for d in exc.diagnostics:
+                issues(f"in {world}: {d.message}", at + ("world",))
+            continue
+        states[at[1]] = RsaState(state["id"], prior, World(model, lexicon, LiftScheme(scheme)))
+
+    utterances: dict[int, RsaUtterance] = {}
+    for at, utterance in _entries(issues, doc, "utterances", "utterance", ("id", "prop"),
+                                  {"id": str, "prop": str, "cost": float}):
+        cost, prop = utterance.get("cost", 0.0), utterance["prop"]
+        inline = prop.strip().startswith(("(", "#")) or prop.strip() == "true"
+        if not (inline or (base_dir / prop).is_file()):
+            issues(f"proposition file not found: {prop}", at + ("prop",))
+            continue
+        source, origin = ((prop, "inline proposition") if inline
+                          else ((base_dir / prop).read_text(), str(base_dir / prop)))
+        try:
+            utterances[at[1]] = RsaUtterance(utterance["id"], parse_prop(source), cost)
         except DslParseError as exc:
             for d in exc.diagnostics:
                 issues(f"in {origin}: {d.message}", at + ("prop",))
-    if issues:
-        return None
+
     try:
-        scenario = RsaScenario(tuple(states), tuple(utterances), alpha, engine)
-    except ValueError as exc:
-        issues(str(exc), ())
+        scenario = RsaScenario(tuple(states.values()), tuple(utterances.values()),
+                               alpha if isinstance(alpha, float) else math.inf,
+                               engine if isinstance(engine, str) else EXACT)
+    except InvalidScenario as exc:
+        # a fault's index path into the scenario, such as ("states", k, "prior")
+        # for its k-th state, names the same part of the file once k is the
+        # entry's index there; a list's emptiness or total says nothing of a
+        # list that lost an entry here
+        index = {"states": list(states), "utterances": list(utterances)}
+        refused = {path[0] for _, path, _ in issues}
+        for message, (field, *rest) in exc.faults:
+            if rest:
+                issues(message, (field, index[field][rest[0]], *rest[1:]))
+            elif field not in refused:
+                issues(message, (field,))
+    if issues:  # in file order, by key and then by entry
+        issues.sort(key=lambda issue: [list(doc).index(issue[1][0]), *issue[1][1:2]])
         return None
 
     # validate reads only the names of a world's variables and predicates
     vocabularies = [(frozenset(s.world.model.variables), frozenset(s.world.lexicon.predicates))
-                    for s in states]
-    for utterance in utterances:
+                    for s in scenario.states]
+    for k, u in utterances.items():
         found = {}
-        for state, vocabulary in zip(states, vocabularies):
+        for state, vocabulary in zip(scenario.states, vocabularies):
             if vocabulary not in found:
-                found[vocabulary] = validate(utterance.graph, state.world.model,
-                                             state.world.lexicon)
+                found[vocabulary] = validate(u.graph, state.world.model, state.world.lexicon)
             for issue in found[vocabulary]:
-                issues(f"utterance {utterance.id!r} invalid in state {state.id!r}: {issue}", ())
+                issues(f"utterance {u.id!r} invalid in state {state.id!r}: {issue}",
+                       ("utterances", k, "prop"))
     return scenario

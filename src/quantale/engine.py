@@ -310,10 +310,10 @@ class _Core:
     def _counter(self, i, kind):
         """One-mass quantifier ``i``'s count table, or None for a custom shape
         or a table over the bytes of ``CHUNK_CELLS`` floats: f_Q at k_rb * m
-        over k_r * m at g * side**2 + k_r * side + k_rb for each group g of
-        mass m, a truth table for a precise kind, built in blocks of
-        ``CHUNK_CELLS`` cells; and each group's offset g * side**2."""
-        side, mass = self.counting[i][0], self.groups[i][4]
+        over k_r * m at c * side**2 + k_r * side + k_rb for the c-th distinct
+        group mass m, a truth table for a precise kind, built in blocks of
+        ``CHUNK_CELLS`` cells; and each group's offset, its mass's c * side**2."""
+        side, (mass, cls) = self.counting[i][0], np.unique(self.groups[i][4], return_inverse=True)
         cells, precise = len(mass) * side * side, is_precise(kind)
         # a custom shape may leave gaps in [0, 1]: it may only see the
         # ratios that are reached, not every count pair
@@ -321,9 +321,9 @@ class _Core:
             return None
         values = np.empty(cells, bool if precise else float)
         for a in range(0, cells, CHUNK_CELLS):
-            g, k = np.divmod(np.arange(a, min(a + CHUNK_CELLS, cells)), side * side)
-            values[a:a + len(g)] = self.shape(kind, k % side * mass[g], k // side * mass[g])
-        return np.arange(len(mass)) * side * side, values
+            c, k = np.divmod(np.arange(a, min(a + CHUNK_CELLS, cells)), side * side)
+            values[a:a + len(c)] = self.shape(kind, k % side * mass[c], k // side * mass[c])
+        return cls * side * side, values
 
     def group_sums(self, i, r, b):
         """Per batch row and group of quantifier ``i``, the correctly rounded

@@ -38,12 +38,20 @@ class ShapeDomainError(QuantaleError, ValueError):
     """A quantifier shape was queried outside [0, 1]."""
 
 
-class InvalidWorld(QuantaleError, ValueError):
-    """A world breaks an invariant; ``faults`` lists (message, index path of the part at fault)."""
+class Invalid(QuantaleError, ValueError):
+    """A value breaks invariants; ``faults`` lists (message, index path of the part at fault)."""
 
     def __init__(self, faults):
         super().__init__(faults[0][0])
         self.faults = list(faults)
+
+
+class InvalidWorld(Invalid):
+    """A situation model or vague predicate breaks an invariant."""
+
+
+class InvalidScenario(Invalid):
+    """An RSA scenario breaks an invariant."""
 
 
 class AllFalse(QuantaleError):

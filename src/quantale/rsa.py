@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import EXACT, GENERIC_FAST, NAIVE, evaluate
-from .errors import AllFalse, NoViableUtterance
+from .errors import AllFalse, InvalidScenario, NoViableUtterance
 from .model import MASS_TOL, LiftScheme, SituationModel, VagueLexicon
 from .scope import ScopeGraph
 
@@ -51,8 +51,9 @@ class RsaScenario:
     ``alpha`` is the speaker rationality; ``math.inf`` means the
     maximizing speaker (uniform over argmax utterances).  ``engine``, one
     of ``ENGINES``, selects how utterance meanings are evaluated per state.
-    Priors are non-negative and sum to 1 within ``MASS_TOL``; costs are
-    finite and non-negative.
+    Ids are unique, priors non-negative summing to 1 within ``MASS_TOL``,
+    costs finite and non-negative; ``InvalidScenario`` lists every fault at
+    its index path into the fields, such as ``("states", k, "prior")``.
     """
 
     states: tuple[RsaState, ...]
@@ -61,31 +62,34 @@ class RsaScenario:
     engine: str = EXACT
 
     def __post_init__(self):
-        if not self.states:
-            raise ValueError("scenario needs at least one state")
-        if not self.utterances:
-            raise ValueError("scenario needs at least one utterance")
-        for kind, items in (("state", self.states), ("utterance", self.utterances)):
-            if len({x.id for x in items}) != len(items):
-                raise ValueError(f"duplicate {kind} ids")
-        for s in self.states:
-            if not s.prior >= 0.0:  # negative or NaN; an infinite prior fails the sum
-                raise ValueError(f"state {s.id!r} has prior {s.prior!r}, not a non-negative number")
-        try:
-            total = math.fsum(s.prior for s in self.states)
-        except OverflowError:  # finite priors whose sum exceeds the largest float
-            total = math.inf
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"state priors sum to {total:.12g} ≠ 1")
-        for u in self.utterances:
-            if not math.isfinite(u.cost):
-                raise ValueError(f"utterance {u.id!r} has a non-finite cost")
-            if u.cost < 0.0:
-                raise ValueError(f"utterance {u.id!r} has a negative cost")
+        faults = []
+        for field, items in (("states", self.states), ("utterances", self.utterances)):
+            first = {}
+            for k, x in enumerate(items):
+                if first.setdefault(x.id, k) != k:
+                    faults.append((f"duplicate {field[:-1]} id {x.id!r}", (field, k, "id")))
+                if field == "states" and not x.prior >= 0.0:  # negative or NaN
+                    faults.append((f"state {x.id!r} has prior {x.prior!r}, not a non-negative "
+                                   "number", (field, k, "prior")))
+                elif field == "utterances" and not 0.0 <= x.cost < math.inf:
+                    what = "negative" if math.isfinite(x.cost) else "non-finite"
+                    faults.append((f"utterance {x.id!r} has a {what} cost", (field, k, "cost")))
+            if not items:
+                faults.append((f"scenario needs at least one {field[:-1]}", (field,)))
+            elif field == "states" and not faults:  # a total over faulty states says nothing
+                try:
+                    total = math.fsum(s.prior for s in items)
+                except OverflowError:  # finite priors whose sum exceeds the largest float
+                    total = math.inf
+                if abs(total - 1.0) > MASS_TOL:
+                    faults.append((f"state priors sum to {total:.12g} ≠ 1", (field,)))
         if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+            faults.append(("alpha must be positive", ("alpha",)))
         if self.engine not in ENGINES:
-            raise ValueError(f"RSA engine must be one of {ENGINES}, not {self.engine!r}")
+            faults.append((f"RSA engine must be one of {ENGINES}, not {self.engine!r}",
+                           ("engine",)))
+        if faults:
+            raise InvalidScenario(faults)
 
     def state(self, state_id: str) -> RsaState:
         for s in self.states:

@@ -440,7 +440,7 @@ def test_rsa_overflowing_priors_are_a_diagnostic(capsys, tmp_path):
     code, out, err = run_cli(capsys, "rsa", "--scenario", str(scenario), "--agent", "l0",
                              "--utterance", "u")
     assert code == 1
-    assert err == "error: state priors sum to inf ≠ 1 (line 1, column 1)\n"
+    assert err == "error: state priors sum to inf ≠ 1 (line 1, column 12)\n"
     assert [d["message"] for d in json.loads(out)["diagnostics"]] == [
         "state priors sum to inf ≠ 1"]
 

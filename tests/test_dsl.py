@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import quantale as q
 from quantale import dsl
-from quantale.errors import DslParseError
+from quantale.errors import DslParseError, InvalidScenario
 from quantale.model import MASS_TOL
 
 from conftest import FIXTURES, load_prop, load_world
@@ -632,8 +632,8 @@ def test_scenario_bad_priors(tmp_path):
   "states": [{"id": "s", "prior": 0.5, "world": "red.world.json"}],
   "utterances": [{"id": "u", "prop": "true"}]
 }"""
-    diags = diagnostics_of(q.parse_scenario, text, tmp_path)
-    assert any("priors sum to 0.5" in d.message for d in diags)
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == ("state priors sum to 0.5 ≠ 1", 2, 13)
 
 
 def test_scenario_cross_validation_names_both_sides(tmp_path):
@@ -642,12 +642,9 @@ def test_scenario_cross_validation_names_both_sides(tmp_path):
   "states": [{"id": "s", "prior": 1.0, "world": "red.world.json"}],
   "utterances": [{"id": "u", "prop": "(some (x) true (blue x))"}]
 }"""
-    diags = diagnostics_of(q.parse_scenario, text, tmp_path)
-    assert any(
-        "utterance 'u' invalid in state 's'" in d.message
-        and "unknown predicate 'blue'" in d.message
-        for d in diags
-    )
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == (
+        "utterance 'u' invalid in state 's': unknown predicate 'blue' at node 1", 3, 38)
 
 
 def test_scenario_validates_once_per_utterance_and_vocabulary(tmp_path, monkeypatch):
@@ -667,7 +664,7 @@ def test_scenario_validates_once_per_utterance_and_vocabulary(tmp_path, monkeypa
     monkeypatch.setattr(dsl, "validate", lambda *args: calls.append(args) or validate(*args))
     diags = diagnostics_of(q.parse_scenario, text, tmp_path)
     assert [(d.message, d.line, d.column) for d in diags] == [
-        (f"utterance 'u' invalid in state {s!r}: unknown predicate 'blue' at node 1", 1, 1)
+        (f"utterance 'u' invalid in state {s!r}: unknown predicate 'blue' at node 1", 5, 38)
         for s in ("a", "d", "b")]
     assert len(calls) == 4  # (u, red), (u, dog), (v, red), (v, dog)
 
@@ -679,8 +676,8 @@ def test_scenario_bad_alpha(tmp_path):
   "utterances": [{"id": "u", "prop": "true"}],
   "alpha": -2
 }"""
-    diags = diagnostics_of(q.parse_scenario, text, tmp_path)
-    assert any("alpha must be a positive number" in d.message for d in diags)
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == ("alpha must be positive", 4, 12)
 
 
 @pytest.mark.parametrize("engine", ["mc", "exactt"])
@@ -691,17 +688,18 @@ def test_scenario_rejects_engines_rsa_cannot_use(tmp_path, engine):
   "utterances": [{{"id": "u", "prop": "true"}}],
   "engine": "{engine}"
 }}"""
-    diags = diagnostics_of(q.parse_scenario, text, tmp_path)
-    assert any(f"unknown engine {engine!r}" in d.message for d in diags)
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == (
+        f"RSA engine must be one of ('naive', 'exact', 'generic-fast'), not {engine!r}", 4, 13)
 
 
 @pytest.mark.parametrize(
     "cost, message",
     [
-        ("1e400", "cost must be finite"),
-        ("-1e400", "cost must be a non-negative number"),
-        ("-1", "cost must be a non-negative number"),
-        ('"1"', "cost must be a non-negative number"),
+        ("1e400", "utterance 'u' has a non-finite cost"),
+        ("-1e400", "utterance 'u' has a non-finite cost"),
+        ("-1", "utterance 'u' has a negative cost"),
+        ('"1"', "'cost' must be a number"),
     ],
     ids=["inf", "minus-inf", "negative", "string"],
 )
@@ -716,14 +714,71 @@ def test_scenario_costs_must_be_finite_and_non_negative(tmp_path, cost, message)
     assert (diag.message, diag.line, diag.column) == (message, 3, 54)
 
 
-def test_scenario_duplicate_ids_are_one_diagnostic_at_the_document(tmp_path):
+def test_scenario_duplicate_ids_sit_at_the_repeated_id(tmp_path):
     (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
     text = """{
   "states": [{"id": "s", "prior": 1.0, "world": "red.world.json"}],
   "utterances": [{"id": "u", "prop": "true"}, {"id": "u", "prop": "true"}]
 }"""
     (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
-    assert (diag.message, diag.line, diag.column) == ("duplicate utterance ids", 1, 1)
+    assert (diag.message, diag.line, diag.column) == ("duplicate utterance id 'u'", 3, 54)
+
+
+def test_scenario_faults_all_come_in_one_run_in_file_order(tmp_path):
+    # the library finds every fault; the file reports each at its field,
+    # in the order of the file, not of the scenario's fields.  The priors'
+    # total, 0.5, says nothing when a prior is at fault
+    red = FIXTURES / "red.world.json"
+    (tmp_path / "red.world.json").write_text(red.read_text())
+    text = """{
+  "engine": "mc",
+  "states": [{"id": "a", "prior": -0.5, "world": "red.world.json"},
+             {"id": "a", "prior": 1.0, "world": "red.world.json"}],
+  "utterances": [{"id": "u", "prop": "true"},
+                 {"id": "v", "prop": "true", "cost": 1e400}],
+  "alpha": 0
+}"""
+    faults = [
+        ("state 'a' has prior -0.5, not a non-negative number", ("states", 0, "prior")),
+        ("duplicate state id 'a'", ("states", 1, "id")),
+        ("utterance 'v' has a non-finite cost", ("utterances", 1, "cost")),
+        ("alpha must be positive", ("alpha",)),
+        ("RSA engine must be one of ('naive', 'exact', 'generic-fast'), not 'mc'", ("engine",)),
+    ]
+    diags = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert [(d.message, d.line, d.column) for d in diags] == [
+        (faults[4][0], 2, 13), (faults[0][0], 3, 35), (faults[1][0], 4, 21),
+        (faults[2][0], 6, 54), (faults[3][0], 7, 12)]
+
+    world = q.rsa.World(*load_world("red.world.json"))
+    with pytest.raises(InvalidScenario) as caught:
+        q.RsaScenario((q.RsaState("a", -0.5, world), q.RsaState("a", 1.0, world)),
+                      (q.RsaUtterance("u", q.parse_prop("true")),
+                       q.RsaUtterance("v", q.parse_prop("true"), math.inf)),
+                      alpha=0.0, engine="mc")
+    assert isinstance(caught.value, ValueError)
+    assert (str(caught.value), caught.value.faults) == (faults[0][0], faults)
+
+    # a state refused here leaves its list's prior total unknown
+    text = """{
+  "states": [{"id": "s", "prior": 0.5, "world": "red.world.json"},
+             {"id": "t", "prior": 0.5, "world": "gone.world.json"}],
+  "utterances": [{"id": "u", "prop": "true"}]
+}"""
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == (
+        "world file not found: gone.world.json", 3, 49)
+
+    # the scenario's first state is the file's second
+    text = """{
+  "states": [{"id": "t", "prior": 0.5, "world": "gone.world.json"},
+             {"id": "s", "prior": -1, "world": "red.world.json"}],
+  "utterances": [{"id": "u", "prop": "true"}]
+}"""
+    assert [(d.message, d.line, d.column) for d in
+            diagnostics_of(q.parse_scenario, text, tmp_path)] == [
+        ("world file not found: gone.world.json", 2, 49),
+        ("state 's' has prior -1.0, not a non-negative number", 3, 35)]
 
 
 @pytest.mark.parametrize(

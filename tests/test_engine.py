@@ -279,26 +279,33 @@ def test_prepared_donkey_pair_applies_no_shape(monkeypatch, donkey_graph):
     # on 8 x 24 farmer-donkey worlds the (x, z) nodes count 192 one-row
     # groups by reduceat and the root every's 193 x 193 count pairs fit
     # only as a truth table; from a pair's third evaluation on, every
-    # quantifier reads its table and no shape is applied
+    # quantifier reads its table and no shape is applied.  On 10 x 30 worlds
+    # the x-grouped nodes' ten groups share one mass and so one table slice,
+    # but the root's 301 x 301 pairs pass even a truth table's budget: the
+    # root alone applies its shape
     from quantale.engine import _Core
 
-    for seed in range(3):
-        model, lexicon = _farmer_donkey_world(seed)
-        fresh = q.eval_exact(donkey_graph, *_farmer_donkey_world(seed)).probability
+    shape = _Core.shape
+    for seed, size in ((0, (8, 24)), (1, (8, 24)), (2, (8, 24)), (0, (10, 30))):
+        model, lexicon = _farmer_donkey_world(seed, *size)
+        fresh = q.eval_exact(donkey_graph, *_farmer_donkey_world(seed, *size)).probability
         for _ in range(2):
             q.eval_exact(donkey_graph, model, lexicon)
         plan = model._memo["plans"][tuple(donkey_graph.nodes), donkey_graph.root, True]
         assert plan.tables.keys() == plan.groups.keys() == plan.counting.keys()
         assert len(plan.tables) == 5
-        assert all(table is not None for _, table in plan.tables.values())
-        assert plan.tables[donkey_graph.root][1][1].dtype == bool
+        root = plan.tables[donkey_graph.root][1]
+        assert all(table is not None for i, (_, table) in plan.tables.items()
+                   if i != donkey_graph.root)
+        assert (root is None) == (size == (10, 30))
+        assert root is None or root[1].dtype == bool
         # the root and the two x-grouped nodes count by product, the (x, z) nodes by reduceat
         assert sorted(member is None for _, member in plan.counting.values()) == [0, 0, 0, 1, 1]
         shapes = []
-        monkeypatch.setattr(_Core, "shape", lambda *args: shapes.append(args))
+        monkeypatch.setattr(_Core, "shape", lambda c, *args: shapes.append(args) or shape(c, *args))
         got = q.eval_exact(donkey_graph, model, lexicon).probability
         monkeypatch.undo()
-        assert shapes == []
+        assert [kind for kind, *_ in shapes] == ([q.QuantifierKind.EVERY] if root is None else [])
         assert got.hex() == fresh.hex()
 
 

@@ -457,7 +457,7 @@ def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_e
     assert side == sizes.max() + 1
     assert (member is None) == (len(sizes) * core.width > CHUNK_CELLS) == (case < 0.25)
     precise = kind in q.quant.PRECISE_KINDS
-    cells = len(sizes) * side * side
+    cells = len(np.unique(core.groups[i][4])) * side * side  # a slice per mass class
     fits = cells * (1 if precise else 8) <= 8 * CHUNK_CELLS
     if case < 0.45:  # the small groups' table fits, the big group's only as a truth table
         assert fits == (case < 0.25 or precise)

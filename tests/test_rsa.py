@@ -73,10 +73,10 @@ def test_scenario_rejects_duplicate_ids():
     # both utterances named 'u', state a's speaker found no viable utterance
     scenario = boolean_scenario()
     false_in_a, true_in_a = scenario.utterances
-    with pytest.raises(ValueError, match="duplicate utterance ids"):
+    with pytest.raises(ValueError, match="duplicate utterance id 'u'"):
         dataclasses.replace(scenario, utterances=(
             dataclasses.replace(false_in_a, id="u"), dataclasses.replace(true_in_a, id="u")))
-    with pytest.raises(ValueError, match="duplicate state ids"):
+    with pytest.raises(ValueError, match="duplicate state id 's'"):
         dataclasses.replace(scenario, states=tuple(
             dataclasses.replace(s, id="s") for s in scenario.states))
 
