@@ -432,9 +432,11 @@ def _enumerated(core, scheme, cap):
 
 def _unit_sums(units, unit, base, scale):
     """Correctly rounded ``(units * unit + base) / scale`` per entry of the
-    integer array ``units``: Python's integer true division rounds the
-    exact quotient."""
-    return np.array([(v * unit + base) / scale for v in units.tolist()], dtype=float)
+    integer array ``units``: ``scale`` is a power of two, so rounding the
+    numerator (int64 below 2**63, else a Python integer) is the only one."""
+    if scale >= 2**63:
+        units = units.astype(object)
+    return np.asarray((units * unit + base) / scale, dtype=float)
 
 
 def _counted(core, cap):
@@ -442,7 +444,7 @@ def _counted(core, cap):
 
     Its rows are independent: row j holds restriction and body with
     probabilities q[j] = (P(r=0), P(r=1, b=0), P(r=1, b=1)), found by
-    evaluating the graph once on every pattern of the predicates with
+    evaluating the graph in chunks on every pattern of the predicates with
     fractional cells, a pattern giving each one draw, 0 (holds) or 1.  A
     count state (D, N) sums the masses of the rows with fractional cells
     that hold r, and that hold r and b, in units: every mass is an integer
@@ -486,19 +488,26 @@ def _counted(core, cap):
             cap=cap,
         )
 
-    pattern = (np.arange(2 ** len(varying))[:, None]
-               >> np.arange(len(varying) - 1, -1, -1)) & 1 == 1
     # one draw per varying predicate, 0 where the pattern sets it (other
     # predicates read draw 0 and ignore it); a pattern that contradicts a
     # fixed cell has weight 0 at that cell's row
     column = np.zeros(core.psi.shape, dtype=np.intp)
     column[varying] = np.arange(len(varying))[:, None]
-    tables = core.leaves(1.0 - pattern, core.reads(column if len(varying) else None))
-    core.advance(tables, stop=len(core.order) - 1)
-    r = tables[root.restriction]
-    outcome = r + r * tables[root.body]  # 0, 1 or 2 per pattern and row
-    weight = np.where(pattern[:, :, None], psi[varying], 1.0 - psi[varying]).prod(axis=1)
-    q = np.stack([(weight * (outcome == t)).sum(axis=0) for t in range(3)], axis=1)
+    reads = core.reads(column if len(varying) else None)
+    shifts = np.arange(len(varying) - 1, -1, -1)
+
+    def outcomes(start):  # q summed over the patterns of one chunk
+        pattern = (np.arange(start, min(start + core.chunk, 2 ** len(varying)))[:, None]
+                   >> shifts) & 1 == 1
+        tables = core.leaves(1.0 - pattern, reads)
+        core.advance(tables, stop=len(core.order) - 1)
+        r = tables[root.restriction]
+        outcome = r + r * tables[root.body]  # 0, 1 or 2 per pattern and row
+        weight = np.where(pattern[:, :, None], psi[varying], 1.0 - psi[varying]).prod(axis=1)
+        return np.stack([(weight * (outcome == t)).sum(axis=0) for t in range(3)], axis=1)
+
+    # the chunks' sums added in order, so patterns that fit one chunk keep a single pass's bits
+    q = sum(outcomes(a) for a in range(0, 2 ** len(varying), core.chunk))
 
     # states as sorted keys D * side + N, exact integers; a row of u units
     # moves each by 0, (u, 0) or (u, u) with q0, q1 and q2, and bincount

@@ -31,14 +31,6 @@ class QuantifierKind(enum.Enum):
     GENERIC = "generic"
 
 
-PRECISE_KINDS = frozenset(
-    {QuantifierKind.SOME, QuantifierKind.EVERY, QuantifierKind.NO, QuantifierKind.MOST}
-)
-VAGUE_KINDS = frozenset(
-    {QuantifierKind.MANY, QuantifierKind.FEW, QuantifierKind.GENERIC}
-)
-
-
 @dataclass(frozen=True)
 class ShapeSpec:
     """Piecewise shape on [0, 1]: exact point values at breakpoints plus
@@ -103,13 +95,21 @@ BUILTIN_SHAPES: dict[QuantifierKind, ShapeSpec] = {
 }
 
 
+def _spec(kind) -> ShapeSpec:
+    """The shape of a QuantifierKind or custom ShapeSpec."""
+    return kind if isinstance(kind, ShapeSpec) else BUILTIN_SHAPES[kind]
+
+
 def is_precise(kind) -> bool:
     """True for kinds whose shape is a step function valued in {0, 1}:
     every segment is constant and every value is 0 or 1."""
-    if isinstance(kind, ShapeSpec):
-        return (all(vlo == vhi for _, _, vlo, vhi in kind.segments)
-                and {v for _, v in kind.points} | {v for *_, v in kind.segments} <= {0.0, 1.0})
-    return kind in PRECISE_KINDS
+    spec = _spec(kind)
+    return (all(vlo == vhi for _, _, vlo, vhi in spec.segments)
+            and {v for _, v in spec.points} | {v for *_, v in spec.segments} <= {0.0, 1.0})
+
+
+PRECISE_KINDS = frozenset(filter(is_precise, QuantifierKind))
+VAGUE_KINDS = frozenset(QuantifierKind) - PRECISE_KINDS
 
 
 def shape_value(kind, ratio: float) -> float:
@@ -117,14 +117,12 @@ def shape_value(kind, ratio: float) -> float:
 
     ``kind`` is a QuantifierKind or a custom ShapeSpec.
     """
-    spec = kind if isinstance(kind, ShapeSpec) else BUILTIN_SHAPES[kind]
-    return spec.value(ratio)
+    return _spec(kind).value(ratio)
 
 
 def shape_values(kind, ratios: np.ndarray) -> np.ndarray:
     """``shape_value`` at every entry of an array of ratios."""
-    spec = kind if isinstance(kind, ShapeSpec) else BUILTIN_SHAPES[kind]
-    return spec.values(ratios)
+    return _spec(kind).values(ratios)
 
 
 def empty_restriction_value(kind, generic_default: float = 1.0) -> float:
@@ -134,11 +132,9 @@ def empty_restriction_value(kind, generic_default: float = 1.0) -> float:
     conditions at |R| = 0 (every and no are vacuously true, some and
     most false).  Few mirrors many; generic is configurable.
     """
-    if isinstance(kind, ShapeSpec):
-        return kind.empty_restriction_value
     if kind is QuantifierKind.GENERIC:
         return generic_default
-    return BUILTIN_SHAPES[kind].empty_restriction_value
+    return _spec(kind).empty_restriction_value
 
 
 @dataclass(frozen=True)

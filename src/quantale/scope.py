@@ -74,37 +74,45 @@ class ScopeGraph:
     @cached_property
     def _analysis(self) -> tuple:
         """The part of validation that reads only the graph, done once:
-        (diagnostics that end it before the node checks, the topological
-        order, the free variables of every reachable node, the predicates
-        and the variables the reachable nodes name, and whether the node
-        checks pass once every such name is known).  The nodes are frozen
-        and the aliases are not read, so it holds unless ``nodes`` is a list
-        that changes later."""
+        (diagnostics that end it before the checks, the topological order,
+        the free variables of every reachable node, and the checks in node
+        order, the open root last).  A check is (message, where its name
+        must be known: "predicates", "variables", or None where it fails in
+        any world, name).  The nodes are frozen and the aliases are not
+        read, so it holds unless ``nodes`` is a list that changes later."""
         diagnostics = [f"node {i} references missing node {c}"
                        for i, n in enumerate(self.nodes) for c in children(n)
                        if not 0 <= c < len(self.nodes)]
         if not 0 <= self.root < len(self.nodes):
             diagnostics.append(f"root index {self.root} out of range")
         if diagnostics:
-            return diagnostics, None, None, None, None, False
+            return diagnostics, None, None, []
         try:
             order = topological_order(self)
         except CycleDetected as exc:
-            return [str(exc)], None, None, None, None, False
+            return [str(exc)], None, None, []
         free: dict[int, frozenset[str]] = {}
-        predicates, variables, sound = set(), set(), True
         for i in order:
+            free[i] = _free(self.nodes[i], free)
+        checks = []
+        for i in sorted(order):
             n = self.nodes[i]
-            free[i] = _free(n, free)
             if isinstance(n, Application):
-                predicates.add(n.predicate)
-                variables.add(n.variable)
-            elif isinstance(n, Conjunction):
-                sound = sound and bool(n.children)
+                for kind, name in (("predicate", n.predicate), ("variable", n.variable)):
+                    checks.append((f"unknown {kind} {name!r} at node {i}", kind + "s", name))
+            elif isinstance(n, Conjunction) and not n.children:
+                checks.append((f"empty conjunction at node {i}", None, None))
             elif isinstance(n, Quantifier):
-                variables.update(n.bound)
-                sound = sound and bool(n.bound) and len(set(n.bound)) == len(n.bound)
-        return [], order, free, predicates, variables, sound and not free[self.root]
+                if not n.bound:
+                    checks.append((f"quantifier at node {i} binds no variables", None, None))
+                if len(set(n.bound)) != len(n.bound):
+                    checks.append((f"duplicate bound variables at node {i}", None, None))
+                checks += [(f"unknown variable {v!r} bound at node {i}", "variables", v)
+                           for v in n.bound]
+        if free[self.root]:
+            listing = ", ".join(sorted(free[self.root]))
+            checks.append((f"root has free variables {{{listing}}}", None, None))
+        return [], order, free, checks
 
 
 def _walk(nodes, root: int, skip=()) -> list[int]:
@@ -163,51 +171,24 @@ def topological_order(graph: ScopeGraph) -> list[int]:
 
 
 def validate(graph: ScopeGraph, model, lexicon) -> list[str]:
-    """Well-formedness diagnostics; an empty list means the graph is ok.
-
-    Reports cycles, open roots, unknown predicates and variables, and
-    empty conjunctions.  Diagnostics are returned, never thrown.
-    """
-    try:
-        validated_order(graph, model, lexicon)
-    except ValidationFailed as exc:
-        return exc.diagnostics
-    return []
+    """Well-formedness diagnostics, returned, never thrown; an empty list
+    means the graph is ok.  They are the graph's fatal ones (a cycle or a
+    missing node), else its checks (``ScopeGraph._analysis``, made once per
+    graph) that fail in any world or whose name the model or lexicon lacks."""
+    fatal, _, _, checks = graph._analysis
+    if fatal:
+        return list(fatal)
+    known = {"predicates": lexicon, "variables": model.variables}
+    return [message for message, where, name in checks
+            if where is None or name not in known[where]]
 
 
 def validated_order(graph: ScopeGraph, model, lexicon):
     """``topological_order`` of a graph that ``validate`` accepts, and the
     free variables of every reachable node (shared: do not change them);
-    raises ValidationFailed with the diagnostics otherwise.
-
-    The walks are done once per graph (``ScopeGraph._analysis``); each
-    call checks the names the graph uses against the model and lexicon."""
-    fatal, order, free, predicates, variables, sound = graph._analysis
-    if fatal:
-        raise ValidationFailed(list(fatal))
-    if (sound and all(p in lexicon for p in predicates)
-            and all(v in model.variables for v in variables)):
-        return order, free
-    diagnostics: list[str] = []
-    for i in sorted(order):
-        n = graph.nodes[i]
-        if isinstance(n, Application):
-            if n.predicate not in lexicon:
-                diagnostics.append(f"unknown predicate {n.predicate!r} at node {i}")
-            if n.variable not in model.variables:
-                diagnostics.append(f"unknown variable {n.variable!r} at node {i}")
-        elif isinstance(n, Conjunction):
-            if not n.children:
-                diagnostics.append(f"empty conjunction at node {i}")
-        elif isinstance(n, Quantifier):
-            if not n.bound:
-                diagnostics.append(f"quantifier at node {i} binds no variables")
-            if len(set(n.bound)) != len(n.bound):
-                diagnostics.append(f"duplicate bound variables at node {i}")
-            for v in n.bound:
-                if v not in model.variables:
-                    diagnostics.append(f"unknown variable {v!r} bound at node {i}")
-    if free[graph.root]:
-        listing = ", ".join(sorted(free[graph.root]))
-        diagnostics.append(f"root has free variables {{{listing}}}")
-    raise ValidationFailed(diagnostics)
+    raises ValidationFailed with ``validate``'s diagnostics otherwise."""
+    diagnostics = validate(graph, model, lexicon)
+    if diagnostics:
+        raise ValidationFailed(diagnostics)
+    _, order, free, _ = graph._analysis
+    return order, free

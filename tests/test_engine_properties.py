@@ -294,12 +294,16 @@ def test_count_sums_are_correctly_rounded(seed):
     # a count state's sums: the masses of rows without fractional cells,
     # plus k copies of each class mass, counted in units of the class
     # masses' gcd over the largest denominator; compared with math.fsum
-    # over every row's mass bit for bit
+    # over every row's mass bit for bit; as int64 too, as the counting path
+    # keeps the units, where the sums stay within a total mass of 1
     from quantale.engine import _unit_sums
 
     rng = random.Random(seed)
+    coarse = rng.random() < 0.5
 
     def mass():
+        if coarse:  # on a grid below 2^63, each below 2^-9
+            return rng.randrange(1, 2 ** rng.randint(1, 53)) / 2.0**62
         return rng.choice([1.0 / 3, 1.0 / 7, 0.1, rng.random()]) * 2.0 ** rng.randint(-60, 0)
 
     fixed = [mass() for _ in range(rng.randint(0, 6))]
@@ -315,6 +319,8 @@ def test_count_sums_are_correctly_rounded(seed):
     expected = [math.fsum(fixed + [m for m, k in zip(masses, row) for _ in range(k)])
                 for row in counts]
     assert got.tolist() == expected
+    if max(units) * unit + base <= scale and max(units) < 2**63:
+        assert _unit_sums(np.array(units, dtype=np.int64), unit, base, scale).tolist() == expected
 
 
 def _wilson(p_hat, n, z):

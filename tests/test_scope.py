@@ -4,7 +4,7 @@ import pytest
 
 import quantale as q
 from quantale import scope
-from quantale.errors import CycleDetected
+from quantale.errors import CycleDetected, ValidationFailed
 from quantale.scope import children, topological_order
 
 from conftest import load_prop, load_world, quant_over_tautology, red_world
@@ -214,6 +214,47 @@ def test_validate_duplicate_bound():
     assert any(
         "duplicate bound variables" in d for d in q.validate(graph, model, lexicon)
     )
+
+
+def test_validate_lists_every_fault_in_node_order():
+    # every fault that does not end validation, in one graph; the two
+    # worlds know different names, so the name checks fail on different nodes
+    nodes = (
+        q.Application("red", "x"),
+        q.Application("blue", "y"),
+        q.Conjunction(()),
+        q.Quantifier(q.QuantifierKind.SOME, (), 0, 2),
+        q.Quantifier(q.QuantifierKind.EVERY, ("x", "x"), 1, 3),
+        q.Quantifier(q.QuantifierKind.MANY, ("z",), 4, 0),
+    )
+    graph = q.ScopeGraph(nodes, root=5)
+
+    def world(variables, predicate):
+        model = q.SituationModel(q.PixieSpace(("p",)), variables, ((("p",) * len(variables), 1.0),))
+        return model, q.VagueLexicon({predicate: q.VaguePredicate(predicate, {"p": 0.5})})
+
+    assert q.validate(graph, *world(("x",), "red")) == [
+        "unknown predicate 'blue' at node 1",
+        "unknown variable 'y' at node 1",
+        "empty conjunction at node 2",
+        "quantifier at node 3 binds no variables",
+        "duplicate bound variables at node 4",
+        "unknown variable 'z' bound at node 5",
+        "root has free variables {x, y}",
+    ]
+    assert q.validate(graph, *world(("y", "z"), "blue")) == [
+        "unknown predicate 'red' at node 0",
+        "unknown variable 'x' at node 0",
+        "empty conjunction at node 2",
+        "quantifier at node 3 binds no variables",
+        "duplicate bound variables at node 4",
+        "unknown variable 'x' bound at node 4",
+        "unknown variable 'x' bound at node 4",
+        "root has free variables {x, y}",
+    ]
+    with pytest.raises(ValidationFailed) as caught:
+        q.eval_exact(graph, *world(("x",), "red"))
+    assert caught.value.diagnostics == q.validate(graph, *world(("x",), "red"))
 
 
 def test_rebinding_a_variable_is_legal(donkey_graph, fixtures_dir):

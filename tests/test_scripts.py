@@ -123,3 +123,17 @@ def test_bench_ab_summarises_pairs(monkeypatch, capsys):
     assert [json.loads(line)["workload"] for line in capsys.readouterr().out.splitlines()] == [
         "mc", "exact-dense"]
     assert [workload for _, workload, _ in calls] == ["mc", "mc", "exact-dense", "exact-dense"]
+
+
+def test_src_lines_counts_code_and_docstring_lines():
+    # the total that the ROADMAP quotes: every line of src/quantale/*.py
+    # that is neither blank nor only a comment
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_lines.py")],
+                            capture_output=True, text=True, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    modules = sorted((ROOT / "src" / "quantale").glob("*.py"))
+    assert [name for name, _ in rows] == [m.name for m in modules] + ["total"]
+    direct = [sum(1 for line in m.read_text().splitlines()
+                  if line.strip() and not line.strip().startswith("#")) for m in modules]
+    assert [int(n) for _, n in rows] == direct + [sum(direct)]
