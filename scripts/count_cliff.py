@@ -7,8 +7,12 @@ units 20, 22, 24, 27, 31, 26 and 30 round-robin over a power-of-two grid,
 the last row topped up so that the units fill it (at 40 pixies they fill
 1/1024 exactly).  The counting path's states are the exact pairs of
 summed masses, so the 7-class worlds no longer multiply a state space per
-class.  Prints the best of ``--repeat`` times per pixie count and world,
-or the guard's message where the count states exceed the cap.
+class.  A third column times the uniform pixies under ``(every (x) (and
+(a0 x) ... (a10 x)) (and (a11 x) ... (a21 x)))``, 22 predicates whose
+entries are all fractional: each row's outcomes are products of psi, so
+the predicates add no count states.  Prints the best of ``--repeat``
+times per pixie count and world, or the guard's message where the count
+states exceed the cap.
 
 Usage: python scripts/count_cliff.py [--pixies 8 12 16 40] [--repeat 3] [--seed 0]
 """
@@ -21,10 +25,12 @@ import quantale as q
 from quantale.errors import ExplosionGuard
 
 UNITS = (20, 22, 24, 27, 31, 26, 30)
+WIDE = tuple(f"a{i}" for i in range(22))
 
 
-def world(n_pixies, classes, seed=0):
-    """(model, lexicon) of ``n_pixies`` pixies, uniform or in 7 mass classes."""
+def world(n_pixies, classes, seed=0, names=("r", "b")):
+    """(model, lexicon) of ``n_pixies`` pixies, uniform or in 7 mass classes,
+    with a fractional table per predicate of ``names``."""
     pixies = tuple(f"p{i}" for i in range(n_pixies))
     if classes:
         units = [UNITS[i % len(UNITS)] for i in range(n_pixies)]
@@ -36,7 +42,7 @@ def world(n_pixies, classes, seed=0):
     rng = random.Random(seed)
     lexicon = q.VagueLexicon({
         name: q.VaguePredicate(name, {px: rng.randint(1, 255) / 256 for px in pixies})
-        for name in ("r", "b")
+        for name in names
     })
     model = q.SituationModel(q.PixieSpace(pixies), ("x",),
                              tuple(((px,), m) for px, m in zip(pixies, masses)))
@@ -65,11 +71,14 @@ def main():
         parser.error("--pixies and --repeat must be at least 1")
 
     graph = q.parse_prop("(every (x) (r x) (b x))")
-    print(f"{'pixies':>6}  {'uniform':>12}  7 classes")
+    apps = [f"({a} x)" for a in WIDE]
+    wide = q.parse_prop(f"(every (x) (and {' '.join(apps[:11])}) (and {' '.join(apps[11:])}))")
+    print(f"{'pixies':>6}  {'uniform':>12}  {'7 classes':>12}  22 predicates")
     for n in args.pixies:
         uniform, classes = (timed(*world(n, c, args.seed), graph, args.repeat)
                             for c in (False, True))
-        print(f"{n:>6}  {uniform:>12}  {classes}")
+        predicates = timed(*world(n, False, args.seed, WIDE), wide, args.repeat)
+        print(f"{n:>6}  {uniform:>12}  {classes:>12}  {predicates}")
 
 
 if __name__ == "__main__":

@@ -79,6 +79,7 @@ from .scope import (
     Quantifier,
     ScopeGraph,
     Tautology,
+    _walk,
     validated_order,
 )
 
@@ -194,6 +195,11 @@ class _Plan:
                         for cols in map(np.flatnonzero, read)]
         self.columns = len(pixies)
         self.tables: dict[int, tuple] = {}
+        if self.countable:  # sides: the rows of psi applied under r, and only under b
+            root = graph.nodes[graph.root]
+            r, b = ({self.cells[j][0] for j in _walk(graph.nodes, c) if j in self.cells}
+                    for c in (root.restriction, root.body))
+            self.sides = np.array(sorted(r), np.intp), np.array(sorted(b - r), np.intp)
 
 
 class _Core:
@@ -255,14 +261,13 @@ class _Core:
                 tables[i] = np.ones((n, self.width))
         return tables
 
-    def advance(self, tables, start=0, stop=None):
-        """Fill in the tables of the nodes from position ``start`` on,
-        up to but excluding position ``stop`` (default: through the root).
+    def advance(self, tables, start=0):
+        """Fill in the tables of the nodes from position ``start`` on.
 
         Returns the position of the first vague quantifier filled in, for
         the caller to threshold, or None once the root is done.
         """
-        for pos in range(start, len(self.order) if stop is None else stop):
+        for pos in range(start, len(self.order)):
             i = self.order[pos]
             if i in tables:
                 continue
@@ -330,16 +335,8 @@ class _Core:
         sums of ``mass * r * b`` and ``mass * r`` by ``math.fsum``, where
         ``_quantify`` cannot count: several masses, or a core not crisp."""
         order, starts, sizes, _, _ = self.groups[i]
-        batch = len(r)
-        run_starts = (np.arange(batch)[:, None] * self.width + starts).ravel()
-        run_sizes = np.tile(sizes, batch)
-
-        def sums(terms):
-            flat = terms[:, order].ravel()
-            return _fsum_runs(flat, run_starts, run_sizes).reshape(batch, len(sizes))
-
-        den_terms = self.mass * r
-        return sums(den_terms * b), sums(den_terms)
+        terms = self.mass[order] * r[:, order]
+        return _fsum_runs(terms * b[:, order], starts, sizes), _fsum_runs(terms, starts, sizes)
 
     def shape(self, kind, num, den):
         """f_Q of ``num / den``; the empty-restriction value where ``den``
@@ -442,16 +439,17 @@ def _unit_sums(units, unit, base, scale):
 def _counted(core, cap):
     """Root expectation under the independent lift for a ``countable`` core.
 
-    Its rows are independent: row j holds restriction and body with
-    probabilities q[j] = (P(r=0), P(r=1, b=0), P(r=1, b=1)), found by
-    evaluating the graph in chunks on every pattern of the predicates with
-    fractional cells, a pattern giving each one draw, 0 (holds) or 1.  A
-    count state (D, N) sums the masses of the rows with fractional cells
-    that hold r, and that hold r and b, in units: every mass is an integer
-    over the largest denominator (a power of two), and a unit is the gcd of
-    those rows' integers, so uniform masses count one unit each.  The other
-    rows hold one outcome each and add a fixed integer to both sums.  A
-    state's sums are then the correctly rounded ones that enumeration
+    Its rows are independent and each cell is its own coin: row j holds
+    restriction and body with probabilities q[j] = (1 - P_r, P_r - P_rb,
+    P_rb), where P_r is the product of psi over the predicates applied
+    under the restriction and P_rb is P_r times the product over the
+    body's other ones; rounding is monotonic, so P_rb <= P_r.  A count
+    state (D, N) sums the masses of the rows with fractional cells that
+    hold r, and that hold r and b, in units: every mass is an integer over
+    the largest denominator (a power of two), and a unit is the gcd of
+    those rows' integers, so uniform masses count one unit each.  The
+    other rows hold one outcome each and add a fixed integer to both sums.
+    A state's sums are then the correctly rounded ones that enumeration
     computes, and a convolution over the rows (Poisson binomial) gives its
     probability, each row moving a state by (0, 0), (u, 0) or (u, u) units
     with q0, q1 and q2.  A vague root is worth its value f, since
@@ -462,7 +460,6 @@ def _counted(core, cap):
     psi = core.psi[:, next(iter(core.cells.values()))[1]]  # (predicates, rows)
     fractional = (psi > 0.0) & (psi < 1.0)
     cells = fractional.sum(axis=0).tolist()
-    varying = np.flatnonzero(fractional.any(axis=1))
     rows = [j for j, c in enumerate(cells) if c]
     mass = core.mass.tolist()
     ratios = [m.as_integer_ratio() for m in mass]
@@ -474,40 +471,21 @@ def _counted(core, cap):
     # The states number at most the pairs 0 <= N <= D < side, and at most
     # the product over mass classes of a class's count pairs: u rows with f
     # fractional cells give at most (u + 1)(u + 2) / 2 and 2^f.  Neither
-    # bound nor the 2^len(varying) patterns exceeds the enumeration.
+    # bound exceeds the enumeration.
     classes: dict[float, tuple[int, int]] = {}
     for j in rows:
         u, f = classes.get(mass[j], (0, 0))
         classes[mass[j]] = (u + 1, f + cells[j])
     product = math.prod(min((u + 1) * (u + 2) // 2, 2**f) for u, f in classes.values())
-    count = max(2 ** len(varying), min(product, side * (side + 1) // 2))
+    count = min(product, side * (side + 1) // 2)
     if count > max(cap, 1):  # one state enumerates nothing
-        raise ExplosionGuard(
-            f"independent lift needs {count} count states (cap {cap})",
-            count=count,
-            cap=cap,
-        )
+        raise ExplosionGuard(f"independent lift needs {count} count states (cap {cap})",
+                             count=count, cap=cap)
 
-    # one draw per varying predicate, 0 where the pattern sets it (other
-    # predicates read draw 0 and ignore it); a pattern that contradicts a
-    # fixed cell has weight 0 at that cell's row
-    column = np.zeros(core.psi.shape, dtype=np.intp)
-    column[varying] = np.arange(len(varying))[:, None]
-    reads = core.reads(column if len(varying) else None)
-    shifts = np.arange(len(varying) - 1, -1, -1)
-
-    def outcomes(start):  # q summed over the patterns of one chunk
-        pattern = (np.arange(start, min(start + core.chunk, 2 ** len(varying)))[:, None]
-                   >> shifts) & 1 == 1
-        tables = core.leaves(1.0 - pattern, reads)
-        core.advance(tables, stop=len(core.order) - 1)
-        r = tables[root.restriction]
-        outcome = r + r * tables[root.body]  # 0, 1 or 2 per pattern and row
-        weight = np.where(pattern[:, :, None], psi[varying], 1.0 - psi[varying]).prod(axis=1)
-        return np.stack([(weight * (outcome == t)).sum(axis=0) for t in range(3)], axis=1)
-
-    # the chunks' sums added in order, so patterns that fit one chunk keep a single pass's bits
-    q = sum(outcomes(a) for a in range(0, 2 ** len(varying), core.chunk))
+    restriction, body = core.sides
+    held_r = psi[restriction].prod(axis=0)
+    held_rb = held_r * psi[body].prod(axis=0)
+    q = np.stack([1.0 - held_r, held_r - held_rb, held_rb], axis=1)
 
     # states as sorted keys D * side + N, exact integers; a row of u units
     # moves each by 0, (u, 0) or (u, u) with q0, q1 and q2, and bincount

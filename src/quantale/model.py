@@ -44,12 +44,13 @@ class PixieSpace:
 
 
 def _fsum_runs(terms: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each run ``terms[starts[k]:starts[k] + counts[k]]``:
-    one ``math.fsum`` per run.  A run's sum does not depend on the order of its
-    terms, and three of six rows of mass 1/7 make a ratio of exactly 1/2."""
-    flat = terms.tolist()
-    return np.array([math.fsum(flat[a:a + n]) for a, n in zip(starts.tolist(), counts.tolist())],
-                    dtype=float)
+    """Correctly rounded sum of each run ``terms[..., starts[k]:starts[k] + counts[k]]``
+    along the last axis: one ``math.fsum`` per run.  A run's sum does not depend on
+    the order of its terms, and three of six rows of mass 1/7 make a ratio of exactly 1/2."""
+    runs = list(zip(starts.tolist(), counts.tolist()))
+    lines = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1]).tolist()
+    sums = [[math.fsum(line[a:a + n]) for a, n in runs] for line in lines]
+    return np.array(sums, dtype=float).reshape(*terms.shape[:-1], len(runs))
 
 
 def _runs(codes: np.ndarray):

@@ -108,7 +108,7 @@ class ScopeGraph:
                 if len(set(n.bound)) != len(n.bound):
                     checks.append((f"duplicate bound variables at node {i}", None, None))
                 checks += [(f"unknown variable {v!r} bound at node {i}", "variables", v)
-                           for v in n.bound]
+                           for v in dict.fromkeys(n.bound)]
         if free[self.root]:
             listing = ", ".join(sorted(free[self.root]))
             checks.append((f"root has free variables {{{listing}}}", None, None))

@@ -490,6 +490,10 @@ INVALID_PROPS = [
     ("true-heads-application", "(some (x) (true x) (red x))",
      "'true' cannot head an application", 1, 12),
     ("let-without-expression", "(let)", "'let' needs a final expression", 1, 2),
+    ("let-binding-not-a-list", "(let a (red x))", "expected a (name expression) binding", 1, 6),
+    ("let-binding-one-item", "(let (a) #a)", "expected a (name expression) binding", 1, 6),
+    ("let-binding-name-a-list", "(let ((a) (red x)) #a)", "expected a binding name", 1, 6),
+    ("let-duplicate-name", "(let (a (red x)) (a (blue x)) #a)", "duplicate let name 'a'", 1, 19),
 ]
 
 
@@ -678,6 +682,41 @@ def test_scenario_bad_alpha(tmp_path):
 }"""
     (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
     assert (diag.message, diag.line, diag.column) == ("alpha must be positive", 4, 12)
+
+
+SCENARIO_FAULTS = [
+    # (case, state's extra keys, utterance's prop, extra top-level keys, message, line, column)
+    ("unknown-scheme", ', "scheme": "bogus"', "true", "", "unknown scheme 'bogus'", 2, 77),
+    ("missing-prop", "", "missing.prop", "", "proposition file not found: missing.prop", 3, 38),
+    ("alpha-not-a-number", "", "true", ',\n  "alpha": "big"', 'alpha must be a number or "inf"',
+     4, 12),
+]
+
+
+@pytest.mark.parametrize(
+    "state, prop, extra, message, line, column",
+    [row[1:] for row in SCENARIO_FAULTS],
+    ids=[row[0] for row in SCENARIO_FAULTS],
+)
+def test_scenario_fault_diagnostics(tmp_path, state, prop, extra, message, line, column):
+    (tmp_path / "red.world.json").write_text((FIXTURES / "red.world.json").read_text())
+    text = f"""{{
+  "states": [{{"id": "s", "prior": 1.0, "world": "red.world.json"{state}}}],
+  "utterances": [{{"id": "u", "prop": "{prop}"}}]{extra}
+}}"""
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == (message, line, column)
+
+
+def test_scenario_names_a_state_world_that_does_not_parse(tmp_path):
+    (tmp_path / "bad.world.json").write_text('{"pixies": [}')
+    text = """{
+  "states": [{"id": "s", "prior": 1.0, "world": "bad.world.json"}],
+  "utterances": [{"id": "u", "prop": "true"}]
+}"""
+    (diag,) = diagnostics_of(q.parse_scenario, text, tmp_path)
+    assert (diag.message, diag.line, diag.column) == (
+        "in bad.world.json: expected a JSON value", 2, 49)
 
 
 @pytest.mark.parametrize("engine", ["mc", "exactt"])

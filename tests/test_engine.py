@@ -637,28 +637,31 @@ def test_counting_guard_raises_before_allocating():
 
 
 def test_counting_patterns_are_evaluated_a_chunk_at_a_time():
-    # 12 predicates with fractional cells on 100 uniform pixies: the 2^12
-    # patterns over 100 rows would be 3.3 MB per table at once
-    names = [f"a{i}" for i in range(12)]
-    apps = [f"({a} x)" for a in names]
-    graph = q.parse_prop(f"(every (x) (and {' '.join(apps[:6])}) (and {' '.join(apps[6:])}))")
-    pixies = tuple(f"p{i:03d}" for i in range(100))
-    rng = random.Random(0)
-    lexicon = q.VagueLexicon({a: q.VaguePredicate(a, {p: rng.randint(1, 255) / 256
-                                                      for p in pixies}) for a in names})
-    model = q.SituationModel(q.PixieSpace(pixies), ("x",), tuple(((p,), 0.01) for p in pixies))
-    tracemalloc.start()
-    try:
-        p = q.eval_exact(graph, model, lexicon).probability
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-    # every row holds r -> b on its own: the product over pixies
-    expected = math.prod(
-        1.0 - math.prod(lexicon.psi(a, px) for a in names[:6])
-        * (1.0 - math.prod(lexicon.psi(a, px) for a in names[6:])) for px in pixies)
-    assert math.isclose(p, expected, rel_tol=1e-12)
+    # 12 and 22 predicates with fractional cells on 100 uniform pixies: the
+    # 2^12 patterns over 100 rows would be 3.3 MB per table at once, and 2^22
+    # patterns would pass the cap; each row's outcomes are products of psi
+    for d in (12, 22):
+        names = [f"a{i}" for i in range(d)]
+        apps = [f"({a} x)" for a in names]
+        graph = q.parse_prop(f"(every (x) (and {' '.join(apps[:d // 2])}) "
+                             f"(and {' '.join(apps[d // 2:])}))")
+        pixies = tuple(f"p{i:03d}" for i in range(100))
+        rng = random.Random(0)
+        lexicon = q.VagueLexicon({a: q.VaguePredicate(a, {p: rng.randint(1, 255) / 256
+                                                          for p in pixies}) for a in names})
+        model = q.SituationModel(q.PixieSpace(pixies), ("x",), tuple(((p,), 0.01) for p in pixies))
+        tracemalloc.start()
+        try:
+            p = q.eval_exact(graph, model, lexicon).probability
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # every row holds r -> b on its own: the product over pixies
+        expected = math.prod(
+            1.0 - math.prod(lexicon.psi(a, px) for a in names[:d // 2])
+            * (1.0 - math.prod(lexicon.psi(a, px) for a in names[d // 2:])) for px in pixies)
+        assert math.isclose(p, expected, rel_tol=1e-12)
 
 
 def _flat_world():

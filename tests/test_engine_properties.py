@@ -286,6 +286,10 @@ def test_run_sums_are_correctly_rounded(seed):
     got = _fsum_runs(terms, starts, counts)
     expected = [math.fsum(terms[a:a + n].tolist()) for a, n in zip(starts, counts)]
     assert got.tolist() == expected
+    # along the last axis of a batch, each line on its own
+    batch = np.stack([terms, terms[::-1]])
+    assert _fsum_runs(batch, starts, counts).tolist() == [
+        [math.fsum(line[a:a + n].tolist()) for a, n in zip(starts, counts)] for line in batch]
 
 
 @given(seeds)

@@ -249,7 +249,6 @@ def test_validate_lists_every_fault_in_node_order():
         "quantifier at node 3 binds no variables",
         "duplicate bound variables at node 4",
         "unknown variable 'x' bound at node 4",
-        "unknown variable 'x' bound at node 4",
         "root has free variables {x, y}",
     ]
     with pytest.raises(ValidationFailed) as caught:
@@ -274,6 +273,12 @@ def test_validate_returns_not_raises():
     graph = q.ScopeGraph((q.Conjunction((5,)),), root=0)
     diagnostics = q.validate(graph, model, lexicon)
     assert diagnostics == ["node 0 references missing node 5"]
+
+
+def test_validate_names_a_root_out_of_range():
+    model, lexicon = red_world(0.5)
+    graph = q.ScopeGraph((q.Application("red", "x"),), root=5)
+    assert q.validate(graph, model, lexicon) == ["root index 5 out of range"]
 
 
 def test_a_deep_graph_built_in_code_evaluates():

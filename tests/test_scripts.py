@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -32,6 +33,11 @@ def test_demo_script_runs(script, args):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    if script == "count_cliff.py":
+        # the last column, 22 predicates on the same pixies, holds a time
+        rows = result.stdout.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["4", "6"]
+        assert all(re.search(r"  \d+\.\d\d ms$", row) for row in rows), result.stdout
 
 
 def test_bench_ab_summarises_pairs(monkeypatch, capsys):
