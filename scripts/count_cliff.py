@@ -10,9 +10,10 @@ summed masses, so the 7-class worlds no longer multiply a state space per
 class.  A third column times the uniform pixies under ``(every (x) (and
 (a0 x) ... (a10 x)) (and (a11 x) ... (a21 x)))``, 22 predicates whose
 entries are all fractional: each row's outcomes are products of psi, so
-the predicates add no count states.  Prints the best of ``--repeat``
-times per pixie count and world, or the guard's message where the count
-states exceed the cap.
+the predicates add no count states.  Prints, per pixie count and world,
+the best of ``--repeat`` times and the tracemalloc peak of one more
+evaluation after them, or the guard's message where the count states
+exceed the cap.
 
 Usage: python scripts/count_cliff.py [--pixies 8 12 16 40] [--repeat 3] [--seed 0]
 """
@@ -20,6 +21,7 @@ Usage: python scripts/count_cliff.py [--pixies 8 12 16 40] [--repeat 3] [--seed 
 import argparse
 import random
 import time
+import tracemalloc
 
 import quantale as q
 from quantale.errors import ExplosionGuard
@@ -58,7 +60,13 @@ def timed(model, lexicon, graph, repeat):
         except ExplosionGuard as exc:
             return f"ExplosionGuard: {exc}"
         best = min(best, time.perf_counter() - start)
-    return f"{best * 1e3:.2f} ms"
+    tracemalloc.start()  # untimed: tracing slows the evaluation down
+    try:
+        q.eval_exact(graph, model, lexicon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return f"{best * 1e3:.2f} ms {peak / 1e6:6.2f} MB"
 
 
 def main():
@@ -73,12 +81,12 @@ def main():
     graph = q.parse_prop("(every (x) (r x) (b x))")
     apps = [f"({a} x)" for a in WIDE]
     wide = q.parse_prop(f"(every (x) (and {' '.join(apps[:11])}) (and {' '.join(apps[11:])}))")
-    print(f"{'pixies':>6}  {'uniform':>12}  {'7 classes':>12}  22 predicates")
+    print(f"{'pixies':>6}  {'uniform':>20}  {'7 classes':>20}  22 predicates")
     for n in args.pixies:
         uniform, classes = (timed(*world(n, c, args.seed), graph, args.repeat)
                             for c in (False, True))
         predicates = timed(*world(n, False, args.seed, WIDE), wide, args.repeat)
-        print(f"{n:>6}  {uniform:>12}  {classes:>12}  {predicates}")
+        print(f"{n:>6}  {uniform:>20}  {classes:>20}  {predicates}")
 
 
 if __name__ == "__main__":

@@ -94,6 +94,10 @@ DENOM_GUARD = 1e-15
 # Upper bound on batch x R cells per node table; configurations, samples
 # and threshold branches are evaluated in chunks of this size.
 CHUNK_CELLS = 2**13
+# Upper bound on side**2, the cells of the counting path's grid of (D, N)
+# states (16 MB of floats); past it, or past 2 cells per state that the
+# count guard allows, the states are kept as a map of sorted keys.
+COUNT_GRID_CELLS = 2**21
 # Plans kept per model; the least recently evaluated graph's goes first.
 PLANS_PER_MODEL = 32
 
@@ -452,9 +456,12 @@ def _counted(core, cap):
     A state's sums are then the correctly rounded ones that enumeration
     computes, and a convolution over the rows (Poisson binomial) gives its
     probability, each row moving a state by (0, 0), (u, 0) or (u, u) units
-    with q0, q1 and q2.  A vague root is worth its value f, since
-    E[f >= theta] = f.  The rows come in pixie-name order (the sorted
-    ``space.elements``): equal models give equal bits.
+    with q0, q1 and q2.  States are kept at keys D * side + N, on a grid
+    where it fits ``COUNT_GRID_CELLS``, which drops those of probability 0,
+    else in a map.  A vague root is worth its value f, since E[f >= theta] =
+    f; a one-mass root reads f_Q from a count table the plan has built
+    (``_Core._count_path``).  The rows come in pixie-name order (the
+    sorted ``space.elements``): equal models give equal bits.
     """
     root = core.graph.nodes[core.graph.root]
     psi = core.psi[:, next(iter(core.cells.values()))[1]]  # (predicates, rows)
@@ -487,26 +494,47 @@ def _counted(core, cap):
     held_rb = held_r * psi[body].prod(axis=0)
     q = np.stack([1.0 - held_r, held_r - held_rb, held_rb], axis=1)
 
-    # states as sorted keys D * side + N, exact integers; a row of u units
-    # moves each by 0, (u, 0) or (u, u) with q0, q1 and q2, and bincount
-    # adds a key's terms onto 0 in that order
-    keys = np.zeros(1, dtype=np.int64 if side * side < 2**63 else object)
     prob = np.ones(1)
-    moves = np.array(units, keys.dtype)[:, None] * np.array((0, side, side + 1), keys.dtype)
-    for j, shift in zip(rows, moves):
-        p = q[j]
-        if not p.all():  # a zero term moves nothing
-            shift, p = shift[p > 0.0], p[p > 0.0]
-        moved = (keys + shift[:, None]).ravel()
-        merged = np.sort(moved, kind="stable")  # merges the sorted runs
-        keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-        prob = np.bincount(keys.searchsorted(moved), (p[:, None] * prob).ravel())
+    if side * side <= min(COUNT_GRID_CELLS, 2 * count):
+        # a grid over the keys D * side + N: a row of u units adds q0, q1
+        # and q2 times each state at offsets 0, u * side and u * side + u,
+        # onto 0 in that order, as the map's bincount does
+        for j, u in zip(rows, units):
+            grown = np.zeros(len(prob) + u * side + u)
+            np.multiply(prob, q[j, 0], out=grown[:len(prob)])
+            grown[u * side:u * side + len(prob)] += q[j, 1] * prob
+            grown[u * side + u:] += q[j, 2] * prob
+            prob = grown
+        keys = np.flatnonzero(prob)  # a state of probability 0 adds nothing
+        prob = prob[keys]
+    else:  # as sorted keys, exact integers, moved as on the grid
+        keys = np.zeros(1, dtype=np.int64 if side * side < 2**63 else object)
+        moves = np.array(units, keys.dtype)[:, None] * np.array((0, side, side + 1), keys.dtype)
+        for j, shift in zip(rows, moves):
+            p = q[j]
+            if not p.all():  # a zero term moves nothing
+                shift, p = shift[p > 0.0], p[p > 0.0]
+            moved = (keys + shift[:, None]).ravel()
+            merged = np.sort(moved, kind="stable")  # merges the sorted runs
+            keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+            prob = np.bincount(keys.searchsorted(moved), (p[:, None] * prob).ravel())
 
-    # a row without fractional cells has one outcome, with q = 1
-    fixed = [j for j, c in enumerate(cells) if not c]
-    num = _unit_sums(keys % side, unit, sum(ints[j] for j in fixed if q[j, 2] == 1.0), scale)
-    den = _unit_sums(keys // side, unit, sum(ints[j] for j in fixed if q[j, 0] == 0.0), scale)
-    return math.fsum(prob * core.shape(root.kind, num, den))
+    # a row without fractional cells has one outcome, with q = 1: its
+    # integer adds to N's sum where it holds r and b, to D's where it holds r
+    base_rb, base_r = (sum(ints[j] for j, c in enumerate(cells) if not c and q[j, k] == held)
+                       for k, held in ((2, 1.0), (0, 0.0)))
+    i = core.graph.root
+    table = core._count_path(i, root.kind, 0) if i in core.counting else None
+    if table is None:
+        num = _unit_sums(keys % side, unit, base_rb, scale)
+        den = _unit_sums(keys // side, unit, base_r, scale)
+        return math.fsum(prob * core.shape(root.kind, num, den))
+    # one mass m: every row counts one, of integer ints[0], and the table
+    # holds f_Q at fl(k_rb * m) over fl(k_r * m), the sums above, at
+    # k_r * side + k_rb for the root's side (its one group's offset is 0)
+    k_r, k_rb = np.divmod(keys, side)
+    at = (k_r + base_r // ints[0]) * core.counting[i][0] + k_rb + base_rb // ints[0]
+    return math.fsum(prob * table[1][at])
 
 
 def eval_exact(graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import random
 import re
@@ -18,7 +19,8 @@ from quantale.errors import (
     ValidationFailed,
 )
 
-from conftest import load_prop, load_world, quant_over_tautology, red_world
+from conftest import FIXTURES, load_prop, load_world, quant_over_tautology, red_world
+from oracles import random_countable_case
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -662,6 +664,118 @@ def test_counting_patterns_are_evaluated_a_chunk_at_a_time():
             1.0 - math.prod(lexicon.psi(a, px) for a in names[:d // 2])
             * (1.0 - math.prod(lexicon.psi(a, px) for a in names[d // 2:])) for px in pixies)
         assert math.isclose(p, expected, rel_tol=1e-12)
+
+
+def _cliff_world(n_pixies, classes):
+    # scripts/count_cliff.py's worlds: uniform masses, or 7 classes filling
+    # a power-of-two grid (1/1024 at 40 pixies); r and b all fractional
+    spec = importlib.util.spec_from_file_location(
+        "count_cliff", FIXTURES.parent / "scripts" / "count_cliff.py")
+    count_cliff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(count_cliff)
+    return count_cliff.world(n_pixies, classes)
+
+
+def _counted_bits(cases):
+    # each case evaluated cold and then on its reused plan, as float hex
+    return [q.eval_exact(graph, model, lexicon, generic_empty=empty).probability.hex()
+            for graph, model, lexicon, empty in cases() for _ in range(2)]
+
+
+def _countable_cases():
+    kinds = [k.value for k in q.QuantifierKind]
+    for seed in range(400):
+        model, lexicon, graph, _ = random_countable_case(random.Random(seed), kinds[seed % 7])
+        yield graph, model, lexicon, float(seed % 2)
+    model, lexicon = _cliff_world(16, True)
+    for kind in kinds:
+        yield q.parse_prop(f"({kind} (x) (r x) (b x))"), model, lexicon, 1.0
+
+
+def test_count_grid_and_map_give_equal_bits(monkeypatch):
+    # the dense grid of count states and the sorted-key map add each
+    # state's terms in one order, so with no grid at all (a budget of 0)
+    # every countable case keeps its bits.  The map calls bincount once a
+    # row: most cases fit the grid, and masses off a common grid keep the map
+    from quantale import engine
+
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    bits = _counted_bits(_countable_cases)
+    on_grid = len(calls)
+    monkeypatch.setattr(engine, "COUNT_GRID_CELLS", 0)
+    assert _counted_bits(_countable_cases) == bits
+    assert 0 < 2 * on_grid < len(calls) - on_grid
+    # 16 uniform pixies, all fractional: side 17, so the grid holds 17**2
+    # cells; one cell less of budget takes the map
+    model, lexicon = _cliff_world(16, False)
+    graph = q.parse_prop("(many (x) (r x) (b x))")
+    got = []
+    for budget, dense in ((17**2, True), (17**2 - 1, False)):
+        monkeypatch.setattr(engine, "COUNT_GRID_CELLS", budget)
+        calls.clear()
+        got.append(q.eval_exact(graph, q.SituationModel(model.space, model.variables,
+                                                        model.joint), lexicon).probability)
+        assert (not calls) == dense, budget
+    assert got[0].hex() == got[1].hex()
+
+
+def test_count_grid_peak_memory():
+    # 40 pixies in 7 mass classes on the 1/1024 grid: side 1025, so the
+    # grid's 1025**2 floats (8.4 MB) fit the budget.  A warm evaluation
+    # peaks near four such arrays (31.8 MiB); the sorted-key map alone
+    # peaked at 45.5 MiB, over the bound of five
+    from quantale.engine import COUNT_GRID_CELLS
+
+    side = 1025
+    assert side**2 <= COUNT_GRID_CELLS
+    model, lexicon = _cliff_world(40, True)
+    graph = q.parse_prop("(every (x) (r x) (b x))")
+    q.eval_exact(graph, model, lexicon)
+    tracemalloc.start()
+    try:
+        q.eval_exact(graph, model, lexicon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * side**2
+
+
+@pytest.mark.parametrize("r, b", [
+    # fractional rows beside fixed rows holding r, and r and b
+    ((1.0, 1.0, 0.0, 0.5, 0.25, 0.75), (1.0, 0.0, 1.0, 0.5, 0.625, 1.0)),
+    # fractional rows beside fixed rows outside r: D = 0 is empty
+    ((0.0, 0.0, 0.5, 0.25), (1.0, 0.0, 0.5, 0.75)),
+    # no fractional cell, so no unit: one state, fixed counts only
+    ((1.0, 1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.0)),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)),
+])
+def test_counted_root_reads_its_count_table_under_reuse(monkeypatch, r, b):
+    # a one-mass generic root reads f_Q at (D + fixed r) * side + N + fixed
+    # rb from the table its reused plan builds per generic_empty; each
+    # result has a fresh model's bits, which shape the states instead
+    from quantale import engine
+
+    pixies = tuple(f"p{i}" for i in range(len(r)))
+    lexicon = q.VagueLexicon({name: q.VaguePredicate(name, dict(zip(pixies, values)))
+                              for name, values in (("r", r), ("b", b))})
+    joint = tuple(((p,), 1 / len(pixies)) for p in pixies)
+
+    def fresh():
+        return q.SituationModel(q.PixieSpace(pixies), ("x",), joint)
+
+    graph = q.parse_prop("(generic (x) (r x) (b x))")
+    calls = []
+    unit_sums = engine._unit_sums
+    monkeypatch.setattr(engine, "_unit_sums", lambda *a: calls.append(1) or unit_sums(*a))
+    model = fresh()
+    for k, empty in enumerate((1.0, 0.0, -0.0, 0.5, 1.0)):
+        expected = q.eval_exact(graph, fresh(), lexicon, generic_empty=empty).probability
+        calls.clear()
+        got = q.eval_exact(graph, model, lexicon, generic_empty=empty).probability
+        assert got.hex() == expected.hex(), empty
+        assert len(calls) == (2 if k == 0 else 0), empty  # a table from the second on
 
 
 def _flat_world():

@@ -34,10 +34,12 @@ def test_demo_script_runs(script, args):
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
     if script == "count_cliff.py":
-        # the last column, 22 predicates on the same pixies, holds a time
+        # each world's column holds a time and a tracemalloc peak; the last,
+        # 22 predicates on the same pixies, ends the line
         rows = result.stdout.splitlines()[1:]
         assert [row.split()[0] for row in rows] == ["4", "6"]
-        assert all(re.search(r"  \d+\.\d\d ms$", row) for row in rows), result.stdout
+        cell = r"\d+\.\d\d ms +\d+\.\d\d MB"
+        assert all(re.fullmatch(rf" +\d+(  +{cell}){{3}}", row) for row in rows), result.stdout
 
 
 def test_bench_ab_summarises_pairs(monkeypatch, capsys):
