@@ -112,10 +112,12 @@ def cmd_curve(args) -> int:
     if args.points < 2:
         print("error: --points must be at least 2", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    ratios = [i / (args.points - 1) for i in range(args.points)]
-    values = shape_values(kind, np.array(ratios)).tolist()
     sys.stdout.write("ratio,value\n")
-    sys.stdout.writelines(f"{r!r},{v!r}\n" for r, v in zip(ratios, values))
+    for start in range(0, args.points, _engine.CHUNK_CELLS):  # in bounded memory
+        # i / (points - 1), correctly rounded as Python's int division is
+        ratios = np.arange(start, min(start + _engine.CHUNK_CELLS, args.points)) / (args.points - 1)
+        values = shape_values(kind, ratios).tolist()
+        sys.stdout.writelines(f"{r!r},{v!r}\n" for r, v in zip(ratios.tolist(), values))
     return EXIT_OK
 
 

@@ -302,38 +302,32 @@ def _world(doc, issues):
         return None
 
     joint = {}  # each well-formed row by its index in the file
-    if _expect(issues, doc["joint"], list, "'joint'", ("joint",)):
-        mark = len(issues)
-        for k, entry in enumerate(doc["joint"]):
-            at = ("joint", k)
-            if not (_expect(issues, entry, dict, "joint entry", at)
-                    and _check_keys(issues, entry, at, ("assign", "prob"))
-                    and _expect(issues, entry["assign"], dict, "'assign'", at + ("assign",))
-                    and _expect(issues, entry["prob"], float, "'prob'", at + ("prob",))):
-                continue
-            assign = entry["assign"]
-            for var, pixie in assign.items():
-                if var not in variables:
-                    issues(f"unknown variable {var!r} in assignment", at + ("assign", var), True)
-                else:
-                    _expect(issues, pixie, str, "assigned pixie", at + ("assign", var))
-            missing = [v for v in variables if not isinstance(assign.get(v), str)]
-            if missing:
-                issues(f"assignment missing variables {missing}", at)
+    mark = len(issues)
+    for at, entry in _entries(issues, doc, "joint", "joint entry", ("assign", "prob"),
+                              {"assign": dict, "prob": float}):
+        assign = entry["assign"]
+        for var, pixie in assign.items():
+            if var not in variables:
+                issues(f"unknown variable {var!r} in assignment", at + ("assign", var), True)
             else:
-                joint[k] = (tuple(assign[v] for v in variables), entry["prob"])
-        whole = len(issues) == mark
-        try:
-            model = SituationModel(PixieSpace(tuple(pixies)), variables, tuple(joint.values()))
-        except InvalidWorld as exc:
-            # a fault's index path into the model's joint, such as (k, 0, c) for
-            # row k's pixie c, names the same part of the file
-            keys = (list(joint), ("assign", "prob"), variables)
-            for message, where in exc.faults:
-                if where or whole:  # the total of a partial joint says nothing
-                    issues(message, ("joint", *(key[i] for key, i in zip(keys, where))))
-        # a row's faults after the issues it had here, in row order, the total last
-        issues[mark:] = sorted(issues[mark:], key=lambda issue: issue[1][1:2] or (math.inf,))
+                _expect(issues, pixie, str, "assigned pixie", at + ("assign", var))
+        missing = [v for v in variables if not isinstance(assign.get(v), str)]
+        if missing:
+            issues(f"assignment missing variables {missing}", at)
+        else:
+            joint[at[1]] = (tuple(assign[v] for v in variables), entry["prob"])
+    whole = len(issues) == mark
+    try:
+        model = SituationModel(PixieSpace(tuple(pixies)), variables, tuple(joint.values()))
+    except InvalidWorld as exc:
+        # a fault's index path into the model's joint, such as (k, 0, c) for
+        # row k's pixie c, names the same part of the file
+        keys = (list(joint), ("assign", "prob"), variables)
+        for message, where in exc.faults:
+            if where or whole:  # the total of a partial joint says nothing
+                issues(message, ("joint", *(key[i] for key, i in zip(keys, where))))
+    # a row's faults after the issues it had here, in row order, the total last
+    issues[mark:] = sorted(issues[mark:], key=lambda issue: issue[1][1:2] or (math.inf,))
 
     predicates: dict[str, VaguePredicate] = {}
     if _expect(issues, doc["predicates"], dict, "'predicates'", ("predicates",)):

@@ -98,7 +98,8 @@ CHUNK_CELLS = 2**13
 # states (16 MB of floats); past it, or past 2 cells per state that the
 # count guard allows, the states are kept as a map of sorted keys.
 COUNT_GRID_CELLS = 2**21
-# Plans kept per model; the least recently evaluated graph's goes first.
+# Plans kept per model, one per graph and generic_empty; the least
+# recently evaluated goes first.
 PLANS_PER_MODEL = 32
 
 
@@ -141,19 +142,14 @@ class _Plan:
     tables (lifted leaves, thresholds applied).  ``counting`` gives each
     one-mass quantifier side, its largest group + 1, and its one-hot
     row-by-group membership, None where that passes ``CHUNK_CELLS``.
-    ``tables`` keeps each one's count table once built (``_Core._count_path``).
+    ``tables`` holds each one's count table (or None) once built, for the
+    ``generic_empty`` in the plan's key (``_Core._count_path``).
     """
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, order, free, crisp):
         self.order = order
         quantifiers = [i for i in order if isinstance(graph.nodes[i], Quantifier)]
         self.vague = [i for i in quantifiers if not is_precise(graph.nodes[i].kind)]
-        # crisp: every table a quantifier reads holds 0s and 1s, as bits,
-        # precise shapes and thresholded vague nodes do, unless a custom
-        # precise shape gives an empty restriction some other value.
-        crisp = crisp and all(i in self.vague or
-                              empty_restriction_value(graph.nodes[i].kind) in (0.0, 1.0)
-                              for i in quantifiers)
         applications = [graph.nodes[i] for i in order if isinstance(graph.nodes[i], Application)]
         self.names = sorted({a.predicate for a in applications})
         # Only the variables some application reads tell rows apart.
@@ -210,14 +206,15 @@ class _Core:
     """Everything one evaluation of a graph reads, and the pass over it.
 
     The plan's fields are read as the core's own: one ``_Plan`` per equal
-    nodes, root and ``crisp``, kept in the model's memo, serves every
-    evaluation on that model while it is among the ``PLANS_PER_MODEL``
-    most recently used.  Per call only ``psi`` is read from the
-    lexicon: the applied predicates' vague values, sorted by name, one
-    column per pixie that some row assigns; a cell that no positive-mass
-    row reads holds 0, so a lift neither enumerates nor samples it.  A
-    one-mass quantifier counts k_r * side + k_rb per group and applies its
-    shape only where it has no count table: a prepared pair applies none.
+    nodes, root, ``crisp`` and ``generic_empty``, kept in the model's
+    memo, serves every evaluation on that model while it is among the
+    ``PLANS_PER_MODEL`` most recently used.  Per call only ``psi`` is
+    read from the lexicon: the applied predicates' vague values, sorted
+    by name, one column per pixie that some row assigns; a cell that no
+    positive-mass row reads holds 0, so a lift neither enumerates nor
+    samples it.  A one-mass quantifier counts k_r * side + k_rb per group
+    and applies its shape only where it has no count table: a prepared
+    pair applies none.
     """
 
     def __init__(self, graph: ScopeGraph, model: SituationModel, lexicon: VagueLexicon,
@@ -225,8 +222,9 @@ class _Core:
         if not 0.0 <= generic_empty <= 1.0:
             raise ValueError(f"generic_empty must be in [0, 1], got {generic_empty!r}")
         order, free = validated_order(graph, model, lexicon)
-        # keyed on structure alone: nodes are frozen, and aliases only name them
-        key = (tuple(graph.nodes), graph.root, crisp)
+        # keyed on structure alone (nodes are frozen, and aliases only name
+        # them) and on generic_empty, whose hex keeps -0.0 apart from 0.0
+        key = (tuple(graph.nodes), graph.root, crisp, float(generic_empty).hex())
         plans = model._memo.setdefault("plans", {})
         plan = plans.pop(key, None)  # put back last: the first is the least recently used
         self.reused = plan is not None
@@ -305,16 +303,13 @@ class _Core:
         return values[(counts + base).astype(np.intp)][:, run].astype(float, copy=False)
 
     def _count_path(self, i, kind, batch):
-        """Quantifier ``i``'s count table (``_counter``), kept in the plan, if
-        built for the ``generic_empty`` of a generic ``i``; else None.
-        Building one costs about two shape passes, so it is built where it
-        pays: on a plan's later evaluations, or at a batch of a full chunk."""
-        # the hex keeps -0.0 apart from 0.0
-        key = float(self.generic_empty).hex() if kind is QuantifierKind.GENERIC else None
-        found = self.tables.get(i)
-        if (found is None or found[0] != key) and (self.reused or batch >= self.chunk):
-            found = self.tables[i] = key, self._counter(i, kind)
-        return found[1] if found is not None and found[0] == key else None
+        """Quantifier ``i``'s count table (``_counter``), kept in the plan once
+        built; else None.  Building one costs about two shape passes, so it
+        is built where it pays: on a plan's later evaluations, or at a batch
+        of a full chunk."""
+        if i not in self.tables and (self.reused or batch >= self.chunk):
+            self.tables[i] = self._counter(i, kind)
+        return self.tables.get(i)
 
     def _counter(self, i, kind):
         """One-mass quantifier ``i``'s count table, or None for a custom shape
@@ -485,9 +480,7 @@ def _counted(core, cap):
         classes[mass[j]] = (u + 1, f + cells[j])
     product = math.prod(min((u + 1) * (u + 2) // 2, 2**f) for u, f in classes.values())
     count = min(product, side * (side + 1) // 2)
-    if count > max(cap, 1):  # one state enumerates nothing
-        raise ExplosionGuard(f"independent lift needs {count} count states (cap {cap})",
-                             count=count, cap=cap)
+    LiftScheme.INDEPENDENT.check(count, "count states", cap)
 
     restriction, body = core.sides
     held_r = psi[restriction].prod(axis=0)

@@ -300,6 +300,13 @@ class LiftScheme(enum.Enum):
     INDEPENDENT = "independent"
     COUPLED_THRESHOLD = "coupled-threshold"
 
+    def check(self, count: int, what: str, cap: int) -> None:
+        """Raise ExplosionGuard where this lift needs more ``what`` than
+        ``max(cap, 1)``: one configuration or count state enumerates nothing."""
+        if count > max(cap, 1):
+            raise ExplosionGuard(f"{self.value} lift needs {count} {what} (cap {cap})",
+                                 count=count, cap=cap)
+
 
 @dataclass(frozen=True)
 class LiftedLexicon:
@@ -355,12 +362,7 @@ class LiftPlan:
             raise ValueError(f"unknown lifting scheme {scheme!r}")
 
     def check(self, cap: int) -> None:
-        if self.count > max(cap, 1):  # one configuration enumerates nothing
-            raise ExplosionGuard(
-                f"{self.scheme.value} lift needs {self.count} configurations (cap {cap})",
-                count=self.count,
-                cap=cap,
-            )
+        self.scheme.check(self.count, "configurations", cap)
 
     def enumerate(self, start: int, stop: int):
         """Draws of configurations ``start`` to ``stop`` and their weights.

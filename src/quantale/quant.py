@@ -39,7 +39,8 @@ class ShapeSpec:
     ``points`` maps each breakpoint (including 0 and 1) to its exact
     value; ``segments`` gives (lo, hi, value_at_lo+, value_at_hi-) for
     each open interval (lo, hi).  This is enough to express every
-    built-in shape, with open/closed endpoint behaviour explicit.
+    built-in shape, with open/closed endpoint behaviour explicit.  An
+    empty restriction takes ``empty_restriction_value`` (see ``is_precise``).
     """
 
     points: tuple[tuple[float, float], ...]
@@ -102,14 +103,12 @@ def _spec(kind) -> ShapeSpec:
 
 def is_precise(kind) -> bool:
     """True for kinds whose shape is a step function valued in {0, 1}:
-    every segment is constant and every value is 0 or 1."""
+    every segment is constant and every value, an empty restriction's
+    too, is 0 or 1.  Any other kind is vague, thresholded once per node."""
     spec = _spec(kind)
     return (all(vlo == vhi for _, _, vlo, vhi in spec.segments)
-            and {v for _, v in spec.points} | {v for *_, v in spec.segments} <= {0.0, 1.0})
-
-
-PRECISE_KINDS = frozenset(filter(is_precise, QuantifierKind))
-VAGUE_KINDS = frozenset(QuantifierKind) - PRECISE_KINDS
+            and {spec.empty_restriction_value, *(v for _, v in spec.points),
+                 *(v for *_, v in spec.segments)} <= {0.0, 1.0})
 
 
 def shape_value(kind, ratio: float) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -310,6 +311,28 @@ def test_curve_matches_the_scalar_shape(capsys, kind):
             f"{r!r},{shape_value(QuantifierKind(kind), r)!r}\n" for r in ratios)
         assert run_cli(capsys, "curve", "--kind", kind, "--points", str(points)) == (
             0, expected, "")
+
+
+def test_curve_is_written_in_bounded_memory(capsys, monkeypatch):
+    # the CSV goes out in blocks of CHUNK_CELLS points: past one block it is
+    # the direct computation, and 100,000 points stay far below the 85 B a
+    # point that building every ratio and value at once costs
+    from quantale.engine import CHUNK_CELLS
+
+    points = CHUNK_CELLS + 3
+    expected = "ratio,value\n" + "".join(
+        f"{r!r},{shape_value(QuantifierKind.FEW, r)!r}\n"
+        for r in (i / (points - 1) for i in range(points)))
+    assert run_cli(capsys, "curve", "--kind", "few", "--points", str(points)) == (0, expected, "")
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["curve", "--kind", "many", "--points", "100000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 100_000 * 30
 
 
 def test_curve_unknown_kind(capsys):

@@ -172,6 +172,9 @@ INVALID_WORLDS = [
      [("'assign' must be an object", 4, 24)]),
     ("prob-not-number", _world(joint='[{"assign": {"x": "a"}, "prob": "1"}]'),
      [("'prob' must be a number", 4, 44)]),
+    # both faults of an entry, in file order, as a scenario entry reports them
+    ("prob-and-assign-wrong", _world(joint='[{"prob": "1", "assign": []}]'),
+     [("'prob' must be a number", 4, 22), ("'assign' must be an object", 4, 37)]),
     ("unknown-variable", _world(joint='[{"assign": {"x": "a", "z": "a"}, "prob": 1}]'),
      [("unknown variable 'z' in assignment", 4, 35)]),
     ("assigned-pixie-not-string", _world(joint='[{"assign": {"x": 1}, "prob": 1}]'),

@@ -221,9 +221,9 @@ def test_nodes_built_with_lists_evaluate_as_with_tuples():
 
 
 def test_plans_are_kept_per_graph_and_bounded_per_model():
-    # one plan per graph, the least recently used going past the cap; a
-    # quantifier keeps one count table, and only a generic one's depends
-    # on generic_empty, so a sweep adds no plan and no table
+    # one plan per graph and generic_empty, the least recently used going
+    # past the cap, so a sweep keeps one plan per value; a plan keeps one
+    # count table per quantifier, built on its second evaluation
     from quantale.engine import PLANS_PER_MODEL
 
     model, lexicon = red_world(0.5)
@@ -239,20 +239,20 @@ def test_plans_are_kept_per_graph_and_bounded_per_model():
 
     for kind in (every, generic):
         for empty in np.linspace(0.0, 1.0, 11):
-            # red fails half the time, leaving the restriction empty
-            assert run(graph(kind), empty) == pytest.approx(1.0 if kind is every else (1 + empty) / 2)
-        plan = model._memo["plans"][graph(kind).nodes, 2, True]
-        assert plan.tables.keys() == {2}
-        assert plan.tables[2][0] == (float(empty).hex() if kind is generic else None)
-    plans = model._memo["plans"]
-    assert len(plans) == 2
+            for _ in range(2):  # red fails half the time, leaving the restriction empty
+                assert run(graph(kind), empty) == pytest.approx(1.0 if kind is every else (1 + empty) / 2)
+            plans = model._memo["plans"]
+            plan = plans[graph(kind).nodes, 2, True, float(empty).hex()]
+            assert plan.tables.keys() == {2}
+    assert len(plans) == 22
     for k in range(2, PLANS_PER_MODEL + 4):
         run(graph(every, k))
         run(graph(generic))  # used last every time, so never the one to go
     assert len(plans) == PLANS_PER_MODEL
-    assert plans[graph(generic).nodes, 2, True] is plan
-    assert (graph(every).nodes, 2, True) not in plans
-    # the first four graphs of every went, in the order they were last used
+    assert plans[graph(generic).nodes, 2, True, (1.0).hex()] is plan
+    assert all(g[0] != graph(every).nodes for g in plans)
+    # the sweep's other plans and the first three graphs of every went, in
+    # the order they were last used
     assert [g[0][1].children for g in plans][:2] == [(0,) * 5, (0,) * 6]
 
 
@@ -293,11 +293,12 @@ def test_prepared_donkey_pair_applies_no_shape(monkeypatch, donkey_graph):
         fresh = q.eval_exact(donkey_graph, *_farmer_donkey_world(seed, *size)).probability
         for _ in range(2):
             q.eval_exact(donkey_graph, model, lexicon)
-        plan = model._memo["plans"][tuple(donkey_graph.nodes), donkey_graph.root, True]
+        plan = model._memo["plans"][tuple(donkey_graph.nodes), donkey_graph.root, True,
+                                    (1.0).hex()]
         assert plan.tables.keys() == plan.groups.keys() == plan.counting.keys()
         assert len(plan.tables) == 5
-        root = plan.tables[donkey_graph.root][1]
-        assert all(table is not None for i, (_, table) in plan.tables.items()
+        root = plan.tables[donkey_graph.root]
+        assert all(table is not None for i, table in plan.tables.items()
                    if i != donkey_graph.root)
         assert (root is None) == (size == (10, 30))
         assert root is None or root[1].dtype == bool
@@ -753,8 +754,8 @@ def test_count_grid_peak_memory():
 ])
 def test_counted_root_reads_its_count_table_under_reuse(monkeypatch, r, b):
     # a one-mass generic root reads f_Q at (D + fixed r) * side + N + fixed
-    # rb from the table its reused plan builds per generic_empty; each
-    # result has a fresh model's bits, which shape the states instead
+    # rb from the table its reused plan builds, one plan per generic_empty;
+    # each result has a fresh model's bits, which shape the states instead
     from quantale import engine
 
     pixies = tuple(f"p{i}" for i in range(len(r)))
@@ -769,13 +770,56 @@ def test_counted_root_reads_its_count_table_under_reuse(monkeypatch, r, b):
     calls = []
     unit_sums = engine._unit_sums
     monkeypatch.setattr(engine, "_unit_sums", lambda *a: calls.append(1) or unit_sums(*a))
-    model = fresh()
-    for k, empty in enumerate((1.0, 0.0, -0.0, 0.5, 1.0)):
+    model, seen = fresh(), set()
+    for empty in (1.0, 0.0, -0.0, 0.5, 1.0, 0.0, -0.0, 0.5):
         expected = q.eval_exact(graph, fresh(), lexicon, generic_empty=empty).probability
         calls.clear()
         got = q.eval_exact(graph, model, lexicon, generic_empty=empty).probability
         assert got.hex() == expected.hex(), empty
-        assert len(calls) == (2 if k == 0 else 0), empty  # a table from the second on
+        # the states are shaped on a value's first evaluation, a table read from its second on
+        assert len(calls) == (0 if empty.hex() in seen else 2), empty
+        seen.add(empty.hex())
+
+
+def test_alternating_generic_empty_builds_each_count_table_once(monkeypatch, donkey_graph):
+    # each generic_empty keeps its own plan and so its own count tables:
+    # alternating 1 and 0 builds each quantifier's table once per value,
+    # and every result has a fresh model's bits
+    from quantale.engine import _Core
+
+    cases = ((q.parse_prop("(generic (x) (r x) (b x))"), _flat_world),
+             (donkey_graph, lambda: _farmer_donkey_world(0)))
+    empties = (1.0, 0.0) * 4
+    fresh = [[q.eval_exact(graph, *world(), generic_empty=e).probability.hex() for e in empties]
+             for graph, world in cases]
+    built = []
+    counter = _Core._counter
+    monkeypatch.setattr(_Core, "_counter",
+                        lambda c, i, kind: built.append((i, c.generic_empty)) or counter(c, i, kind))
+    for (graph, world), expected in zip(cases, fresh):
+        model, lexicon = world()
+        built.clear()
+        got = [q.eval_exact(graph, model, lexicon, generic_empty=e).probability.hex()
+               for e in empties]
+        assert got == expected
+        plan = model._memo["plans"][tuple(graph.nodes), graph.root, True, (0.0).hex()]
+        assert sorted(built) == sorted((i, e) for i in plan.counting for e in (0.0, 1.0))
+        assert all(table is not None for table in plan.tables.values())
+
+
+def test_a_step_with_a_vague_empty_value_is_thresholded():
+    # every's step, but 1/2 on an empty restriction: a vague shape, so mc
+    # thresholds it into whole hits and generic-fast takes it
+    every = q.quant.BUILTIN_SHAPES[q.QuantifierKind.EVERY]
+    shape = q.ShapeSpec(every.points, every.segments, 0.5)
+    graph = q.ScopeGraph((q.Application("red", "x"), q.Quantifier(shape, ("x",), 0, 0)), 1)
+    model, lexicon = red_world(0.5)
+    for scheme in q.LiftScheme:
+        assert q.eval_exact(graph, model, lexicon, scheme).probability == 0.75
+        hits = q.eval_mc(graph, model, lexicon, scheme, samples=1024, seed=3).probability * 1024
+        assert hits.is_integer() and 700 < hits < 840
+    fast = q.eval_generic_fast(graph, model, lexicon)
+    assert fast.probability == q.eval_naive(graph, model, lexicon).probability
 
 
 def _flat_world():

@@ -415,8 +415,9 @@ def test_crisp_count_sums_equal_row_sums_bit_for_bit(masses, seed, batch):
 
 
 def test_custom_shapes_keep_row_sums():
-    # this precise shape of some gives an empty restriction 1/2, so a
-    # parent could read values other than 0 and 1 from it
+    # this step of some gives an empty restriction 1/2, so it is vague: it
+    # is thresholded as any vague node is, its parent reads 0s and 1s
+    # from it, and every quantifier keeps its one mass and counts
     from quantale.engine import _Core
 
     rng = random.Random(0)
@@ -426,8 +427,38 @@ def test_custom_shapes_keep_row_sums():
     nodes = graph.nodes[:i] + (q.Quantifier(shape, node.bound, node.restriction, node.body),)
     core = _Core(q.ScopeGraph(nodes + graph.nodes[i + 1:], graph.root), model, lexicon,
                  crisp=True)
-    assert [g[4] for g in core.groups.values()] == [None, None]
-    assert _Core(graph, model, lexicon, crisp=True).groups[i][4] is not None
+    assert core.vague == [i] and not q.quant.is_precise(shape)
+    assert all(g[4] is not None for g in core.groups.values())
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_a_vague_empty_value_weighs_its_completions(seed):
+    # every's step, but 1/2 on an empty restriction, is vague: its one
+    # threshold reads the 1/2 as 1 below 1/2 and as 0 above, so on a
+    # dyadic world the sentence is worth half of each completion, to the bit
+    rng = random.Random(seed)
+    pixies = ("p0", "p1", "p2")
+    cells = rng.sample(list(itertools.product(pixies, repeat=2)), rng.randint(1, 9))
+    masses = [2.0**-k for k in range(1, len(cells))] + [2.0**(1 - len(cells))]
+    model = q.SituationModel(q.PixieSpace(pixies), ("x", "y"), tuple(zip(cells, masses)))
+    values = (0.0, 0.25, 0.5, 0.75, 1.0)
+    draws = {n: zip(pixies, rng.choices(values, k=3)) for n in "rst"}
+    lexicon = q.VagueLexicon({n: q.VaguePredicate(n, {p: v for p, v in d if v})
+                              for n, d in draws.items()})
+    graph = q.parse_prop("(some (x) (r x) (every (y) (s y) (and (t y) (r x))))")
+    every = q.quant.BUILTIN_SHAPES[q.QuantifierKind.EVERY]
+
+    def sentence(empty):
+        shape = q.ShapeSpec(every.points, every.segments, empty)
+        return q.ScopeGraph(tuple(q.Quantifier(shape, n.bound, n.restriction, n.body)
+                                  if getattr(n, "kind", None) is q.QuantifierKind.EVERY else n
+                                  for n in graph.nodes), graph.root)
+
+    for scheme in q.LiftScheme:
+        v0, v1, half = (q.eval_exact(sentence(e), model, lexicon, scheme).probability
+                        for e in (0.0, 1.0, 0.5))
+        assert half == math.fsum([v0 / 2, v1 / 2])
 
 
 @given(seeds, st.sampled_from(list(q.QuantifierKind)), st.sampled_from([0.0, 0.5, 1.0]))
@@ -466,7 +497,7 @@ def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_e
     side, member = core.counting[i]
     assert side == sizes.max() + 1
     assert (member is None) == (len(sizes) * core.width > CHUNK_CELLS) == (case < 0.25)
-    precise = kind in q.quant.PRECISE_KINDS
+    precise = q.quant.is_precise(kind)
     cells = len(np.unique(core.groups[i][4])) * side * side  # a slice per mass class
     fits = cells * (1 if precise else 8) <= 8 * CHUNK_CELLS
     if case < 0.45:  # the small groups' table fits, the big group's only as a truth table
@@ -485,7 +516,7 @@ def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_e
         got = core._quantify(i, r, b)
         assert got.dtype == float
         assert got.tobytes() == want.tobytes()
-        table = core.tables.get(i, (None, None))[1]
+        table = core.tables.get(i)
         assert (table is not None) == (fits and k > 0)
         if table is None:  # the shape of the counts
             assert shaped == [batch * len(sizes)]
@@ -494,9 +525,9 @@ def test_count_path_values_equal_summed_shapes_bit_for_bit(seed, kind, generic_e
             assert max(shaped) <= CHUNK_CELLS and sum(shaped) == cells
         else:
             assert shaped == []
-    # one table per quantifier; a generic one's is for its generic_empty
-    key, _ = core.tables[i]
-    assert key == (float(generic_empty).hex() if kind is q.QuantifierKind.GENERIC else None)
+    # one table per quantifier, in the plan kept for this generic_empty
+    key = tuple(graph.nodes), graph.root, True, float(generic_empty).hex()
+    assert model._memo["plans"][key].tables is core.tables
 
 
 def _mixed_joint(rng, space, variables):

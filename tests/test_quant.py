@@ -5,8 +5,7 @@ import pytest
 
 import quantale as q
 from quantale.errors import ShapeDomainError
-from quantale.quant import (BUILTIN_SHAPES, PRECISE_KINDS, VAGUE_KINDS, is_precise,
-                            threshold_regions)
+from quantale.quant import BUILTIN_SHAPES, is_precise, threshold_regions
 
 
 def test_precise_shapes_are_steps():
@@ -40,22 +39,23 @@ def test_shape_domain_errors():
         q.shape_value(q.QuantifierKind.GENERIC, 1.1)
 
 
+PRECISE = {"some", "every", "no", "most"}
+
+
 def test_kind_partition():
-    assert PRECISE_KINDS | VAGUE_KINDS == set(q.QuantifierKind)
-    assert not PRECISE_KINDS & VAGUE_KINDS
-    for kind in PRECISE_KINDS:
-        assert is_precise(kind)
-    for kind in VAGUE_KINDS:
-        assert not is_precise(kind)
+    assert {kind.value for kind in q.QuantifierKind if is_precise(kind)} == PRECISE
 
 
 def test_custom_shape_is_precise_only_as_a_0_1_step():
     # a built-in shape passed as a custom spec keeps its class: many's
     # segment interpolates from 0 to 1, so it is vague although every
-    # point and segment end is 0 or 1
+    # point and segment end is 0 or 1; a step that is 1/2 on an empty
+    # restriction is vague too
     for kind, spec in BUILTIN_SHAPES.items():
-        assert is_precise(spec) == (kind in PRECISE_KINDS)
-    assert is_precise(q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 1.0, 1.0),)))
+        assert is_precise(spec) == (kind.value in PRECISE)
+    some = ((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 1.0, 1.0),)
+    assert is_precise(q.ShapeSpec(*some)) and is_precise(q.ShapeSpec(*some, 1.0))
+    assert not is_precise(q.ShapeSpec(*some, 0.5))
     assert not is_precise(q.ShapeSpec(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0, 0.0, 1.0),)))
 
 
